@@ -47,7 +47,7 @@ def main():
         print(f"\n{label}")
         print(f"  eigenvalue route : {by_eigen:.15g}")
         print(f"  char-poly route  : {by_root:.15g}")
-        print(f"  blowup fit       : {fit.beta_est:.15g}  ({dt:.1f} s)")
+        print(f"  blowup fit       : {fit.beta_est:.15g}  ({dt:.3f} s)")
         lo, hi = sorted(fit.window)
         print(f"    fit window xi in [{lo:.8g}, {hi:.8g}]")
         print(f"    slope residual {fit.residual:.2e}, "

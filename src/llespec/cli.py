@@ -467,7 +467,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=64)
     p.add_argument("--j-min", type=int, default=6)
     p.add_argument("--j-max", type=int, default=14)
-    p.add_argument("--k-terms", type=int, default=None, help="series order override")
+    p.add_argument(
+        "--k-terms",
+        type=int,
+        default=None,
+        help="series order at the ladder start (default 24 * 2^j_min)",
+    )
     p.set_defaults(func=_cmd_fuchs)
 
     p = sub.add_parser(

@@ -7,7 +7,9 @@ B - A at xi = 0, 1, infinity. The analytic solution is a power series in xi
 infinity), normalized so the first component of c_0 equals 1. Approaching
 xi = 1 along a geometric ladder, the angular mean of rho grows like
 |1 - xi|^(-beta), which gives the third, spectrum-independent route to
-beta(2).
+beta(2). The series is summed only at the ladder point farthest from xi = 1;
+adaptive integration of the system (no singular point lies in between) carries
+theta from there to each nearer point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 import scipy.integrate
 
 from .errors import (
+    CapacityError,
     DegeneracyError,
     DomainError,
     NumericalError,
@@ -44,6 +47,8 @@ __all__ = [
 
 _PIVOT_TINY = 1e-300
 _TAIL_GATE = 1e-6
+
+SERIES_TERM_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
     """
     if k_terms < 1:
         raise ValidationError(f"k_terms must be >= 1, got {k_terms}")
+    if k_terms > SERIES_TERM_LIMIT:
+        raise CapacityError(
+            f"k_terms {k_terms} exceeds the series term limit {SERIES_TERM_LIMIT}"
+        )
     m = sys.matrices
     n_dim = m.n
     c = analytic_null_vector(m)
@@ -220,15 +229,18 @@ def angular_mean_rho(series: ThetaSeries, xi: float) -> float:
     (1 + 1/xi) theta_0 - 2 theta_1 / xi from rho = (1 - 1/w)(1 - 1/conj(w))
     Theta. For N = 1 the theta_1 term is absent.
     """
-    theta = evaluate_theta(series, xi)
-    if series.variant is Variant.UNBOUNDED:
+    return _angular_mean(series.variant, evaluate_theta(series, xi), xi)
+
+
+def _angular_mean(variant: Variant, theta: np.ndarray, xi: float) -> float:
+    if variant is Variant.UNBOUNDED:
         mean = (1.0 + xi) * theta[0]
-        if series.n > 1:
+        if len(theta) > 1:
             mean -= 2.0 * xi * theta[1]
         return float(mean)
     inv = 0.0 if xi == math.inf else 1.0 / xi
     mean = (1.0 + inv) * theta[0]
-    if series.n > 1:
+    if len(theta) > 1:
         mean -= 2.0 * inv * theta[1]
     return float(mean)
 
@@ -279,6 +291,11 @@ def blowup_exponent(
 ) -> BlowupFit:
     """Fit the growth exponent of |angular mean| along the ladder.
 
+    theta is summed from the series (k_terms terms, default 24 * 2^j_min) at
+    the ladder point farthest from xi = 1 only, where the estimated series
+    tail must stay below 1e-6 relative to theta; integrate_system then
+    carries theta from each ladder point to the next.
+
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
     mean growing toward xi = 1 yields a positive exponent; beta_est is the
@@ -286,24 +303,22 @@ def blowup_exponent(
     """
     ladder = ladder or GeometricLadder()
     if k_terms is None:
-        k_terms = int(24 * 2**ladder.j_max)
+        k_terms = 24 * 2**ladder.j_min
     series = series_solution(sys, k_terms)
     points = ladder.points(sys.variant)
-    means = []
-    worst_rel_tail = 0.0
-    for xi in points:
-        theta, tail = evaluate_theta_with_tail(series, xi)
-        scale = float(np.max(np.abs(theta)))
-        if scale == 0.0 or not math.isfinite(scale):
-            raise NumericalError(f"series evaluation degenerate at xi={xi}")
-        worst_rel_tail = max(worst_rel_tail, tail / scale)
-        mean = angular_mean_rho(series, xi)
-        means.append(mean)
-    if worst_rel_tail > _TAIL_GATE:
+    theta, tail = evaluate_theta_with_tail(series, points[0])
+    scale = float(np.max(np.abs(theta)))
+    if scale == 0.0 or not math.isfinite(scale):
+        raise NumericalError(f"series evaluation degenerate at xi={points[0]}")
+    if tail / scale > _TAIL_GATE:
         raise PrecisionError(
-            f"series tail {worst_rel_tail:.2e} exceeds {_TAIL_GATE:.0e} on the "
-            "ladder; raise k_terms or switch to integrate_system"
+            f"series tail {tail / scale:.2e} exceeds {_TAIL_GATE:.0e} at the "
+            f"ladder start xi={points[0]}; raise k_terms"
         )
+    means = [_angular_mean(sys.variant, theta, points[0])]
+    for xi0, xi1 in zip(points, points[1:]):
+        theta = integrate_system(sys, xi0, theta, xi1)
+        means.append(_angular_mean(sys.variant, theta, xi1))
     g = np.array(means)
     oscillation = bool(np.any(g[:-1] * g[1:] < 0))
     if np.any(g == 0):
@@ -336,8 +351,8 @@ def integrate_system(
     rtol: float = 1e-10,
 ) -> np.ndarray:
     """Adaptive integration of theta' = A theta / xi - B theta / (xi - 1)
-    from xi0 to xi1; the fallback route when series evaluation near xi = 1 is
-    impractical."""
+    from xi0 to xi1 with DOP853; blowup_exponent steps along its ladder with
+    it."""
     if xi0 <= 0 or xi1 <= 0:
         raise DomainError("integration requires positive xi")
     for x in (xi0, xi1):

@@ -52,10 +52,11 @@ class SpectrumResult:
     """Classified eigenvalue set of one B matrix.
 
     eigenvalues are sorted by (real part descending, imaginary part
-    ascending). clusters groups eigenvalues lying in a ball of radius
-    cluster_tol around a common center (pairwise distance <= 2*cluster_tol),
-    reported as (mean, multiplicity). resonant means two cluster centers on
-    the real axis differ by a nonzero integer within tolerance.
+    ascending). clusters groups eigenvalues by single linkage: two belong to
+    one cluster when a chain of eigenvalues joins them with every step at
+    most 2*cluster_tol, so a cluster may span more than 2*cluster_tol.
+    Each is reported as (mean, multiplicity). resonant means two cluster
+    centers on the real axis differ by a nonzero integer within tolerance.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -67,8 +68,8 @@ class SpectrumResult:
 
 
 def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
-    # union-find on pairwise distance <= 2*tol (ball of radius tol around
-    # the common center)
+    # single-linkage union-find: join every pair within 2*tol; a chain of
+    # such steps merges without a bound on the cluster's span
     n = len(eigs)
     parent = list(range(n))
 

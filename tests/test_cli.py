@@ -114,6 +114,13 @@ class TestValidationExits:
         capsys.readouterr()
         assert code == 3
 
+    def test_oversized_series_is_exit_4(self, capsys):
+        oversized = (["--j-min", "30", "--j-max", "31"], ["--k-terms", "1000000000000"])
+        for extra in oversized:
+            code = main(["fuchs", "--kappa", "2", "--n", "2", *extra])
+            capsys.readouterr()
+            assert code == 4
+
     def test_exception_exit_codes(self):
         assert ValidationError("x").exit_code == 2
         assert DomainError("x").exit_code == 2
@@ -294,6 +301,14 @@ class TestFuchsCommand:
         assert doc["oscillation_detected"] is False
         assert doc["window_near"] == pytest.approx(1 - 2.0**-12)
         assert len(doc["slopes"]) == 6
+
+    def test_ladder_to_j_max_30(self, capsys):
+        code, text = run_main(
+            capsys,
+            "fuchs", "--kappa", "2", "--n", "2", "--j-max", "30", "--json",
+        )
+        assert code == 0
+        assert json.loads(text)["beta_est"] == pytest.approx(4.0, abs=1e-6)
 
 
 class TestPerturbationCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from llespec import (
+    CapacityError,
     DegeneracyError,
     DomainError,
     FuchsianSystem,
@@ -26,6 +27,7 @@ from llespec import (
     series_solution,
     validate_eta,
 )
+from llespec.fuchsian_series import SERIES_TERM_LIMIT
 from llespec.loewner_system import LoewnerMatrices
 from tests.conftest import random_driver
 
@@ -100,6 +102,10 @@ class TestSeriesSolution:
     def test_k_terms_validation(self):
         with pytest.raises(ValidationError):
             series_solution(_system(ETA_SLE2, 2, Variant.UNBOUNDED), 0)
+        with pytest.raises(CapacityError, match="k_terms"):
+            series_solution(
+                _system(ETA_SLE2, 2, Variant.UNBOUNDED), SERIES_TERM_LIMIT + 1
+            )
 
     def test_ode_residual_unbounded(self, rng):
         # xi (xi - 1) theta' = ((xi - 1) A - xi B) theta
@@ -249,6 +255,17 @@ class TestBlowup:
         assert not fit.oscillation_detected
         top = eigen_spectrum(m).max_real
         assert fit.beta_est == pytest.approx(top, rel=0.02)
+
+    def test_default_ladder_matches_eigenvalue(self):
+        cases = (
+            (ETA_SLE2, 2),
+            (eta_sequence(LevyDriver(kappa=4.0 / 9.0), 6), 6),  # closes at N=6
+        )
+        for eta, n in cases:
+            m = build_matrices(eta, n, Variant.UNBOUNDED)
+            fit = blowup_exponent(FuchsianSystem(m))
+            top = eigen_spectrum(m).max_real
+            assert fit.beta_est == pytest.approx(top, abs=1e-7)
 
     def test_insufficient_terms_raises(self):
         with pytest.raises(PrecisionError, match="k_terms|integrate_system"):

@@ -19,6 +19,7 @@ from llespec import (
     validate_eta,
 )
 from llespec.loewner_system import CharPolyRecurrence
+from llespec.spectral_solver import _cluster
 from tests.conftest import random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
@@ -56,6 +57,12 @@ class TestEigenSpectrum:
             [14.0 / 3.0, 2.0, 2.0 / 9.0, -2.0 / 3.0], abs=1e-8
         )
         assert all(c.imag == 0.0 for c, _ in s.clusters)
+
+    def test_cluster_is_single_linkage(self):
+        # steps of 1.5*tol chain into one cluster spanning 4.5*tol
+        [(mean, mult)] = _cluster([0, 1.5e-7, 3e-7, 4.5e-7], 1e-7)
+        assert mult == 4
+        assert mean == pytest.approx(2.25e-7)
 
     def test_ordering_descending_real(self, rng):
         for variant in Variant:
