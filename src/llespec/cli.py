@@ -2,8 +2,6 @@
 curves, with deterministic CSV/JSON emitters.
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure, 4 capacity.
-Grid commands fan out one task per parameter point; LLESPEC_THREADS caps the
-thread pool, and results keep parameter order regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .closed_forms import (
     beta2_unbounded_n2,
@@ -32,7 +28,7 @@ from .levy_driver import (
     validate_eta,
 )
 from .loewner_system import Variant, build_matrices, truncation_order
-from .spectral_solver import beta2, eigen_spectrum
+from .spectral_solver import _max_real_sequence, beta2, eigen_spectrum
 
 __all__ = ["main"]
 
@@ -150,30 +146,6 @@ def _resolve_system_size(args) -> tuple[int, object]:
             f"no truncation order within n_max={bound}; pass --n explicitly"
         )
     return order, eta
-
-
-def _max_workers(n_items: int) -> int:
-    cap = os.environ.get("LLESPEC_THREADS")
-    limit = min(n_items, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            raise ValidationError(
-                f"LLESPEC_THREADS must be an integer, got {cap!r}"
-            ) from None
-        if cap_n < 1:
-            raise ValidationError(f"LLESPEC_THREADS must be >= 1, got {cap_n}")
-        limit = min(limit, cap_n)
-    return max(limit, 1)
-
-
-def _fanout(fn, items: list):
-    workers = _max_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- commands
@@ -339,7 +311,7 @@ def _cmd_ple_curve(args) -> None:
             "N": rep.n if rep.n is not None else rep.sequence[-1][0],
         }
 
-    rows = _fanout(point, lambdas)
+    rows = [point(lam) for lam in lambdas]
     _emit(args, {"points": rows}, rows)
 
 
@@ -350,26 +322,16 @@ def _cmd_sle_converge(args) -> None:
         raise ValidationError(f"--m-max must be >= 2, got {args.m_max}")
     variant = Variant.parse(args.variant)
     eta = eta_sequence(LevyDriver(kappa=args.kappa), args.m_max)
-
-    def point(m: int) -> float:
-        return eigen_spectrum(build_matrices(eta, m, variant)).max_real
-
-    ms = list(range(2, args.m_max + 1))
-    betas = _fanout(point, ms)
-    rows = []
-    for i, (m, v) in enumerate(zip(ms, betas)):
-        rows.append(
-            {
-                "M": m,
-                "beta_max": v,
-                "gap": None if i == 0 else abs(v - betas[i - 1]),
-            }
-        )
+    seq = _max_real_sequence(eta, variant, args.m_max)
+    rows = [
+        {"M": m, "beta_max": v, "gap": None if i == 0 else abs(v - seq[i - 1][1])}
+        for i, (m, v) in enumerate(seq)
+    ]
     payload = {
         "kappa": args.kappa,
         "variant": variant.value,
-        "beta2": betas[-1],
-        "last_gap": None if len(betas) < 2 else abs(betas[-1] - betas[-2]),
+        "beta2": seq[-1][1],
+        "last_gap": rows[-1]["gap"],
         "rows": [[r["M"], r["beta_max"], r["gap"]] for r in rows],
     }
     _emit(args, payload, rows)
@@ -398,7 +360,7 @@ def _cmd_perturbation(args) -> None:
             )
         return out
 
-    rows = [row for group in _fanout(point, dks) for row in group]
+    rows = [row for dk in dks for row in point(dk)]
     _emit(args, {"pairs": rows}, rows)
 
 

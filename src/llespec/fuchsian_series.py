@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     CapacityError,
@@ -49,6 +48,7 @@ _PIVOT_TINY = 1e-300
 _TAIL_GATE = 1e-6
 
 SERIES_TERM_LIMIT = 1 << 20
+_J_MAX_LIMIT = 52
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,8 @@ def _angular_mean(variant: Variant, theta: np.ndarray, xi: float) -> float:
 @dataclass(frozen=True)
 class GeometricLadder:
     """Evaluation points xi_j = 1 -/+ 2^{-j}, j = j_min..j_max, approaching
-    xi = 1 from inside the evaluation domain."""
+    xi = 1 from inside the evaluation domain. j_max is at most 52, since
+    1 + 2^{-53} already rounds to 1.0 in double precision."""
 
     j_min: int = 6
     j_max: int = 14
@@ -256,6 +257,8 @@ class GeometricLadder:
     def __post_init__(self):
         if not (0 < self.j_min < self.j_max):
             raise ValidationError("need 0 < j_min < j_max")
+        if self.j_max > _J_MAX_LIMIT:
+            raise ValidationError(f"j_max must be <= {_J_MAX_LIMIT}, got {self.j_max}")
 
     def points(self, variant: Variant) -> list[float]:
         sign = -1.0 if variant is Variant.UNBOUNDED else 1.0
@@ -360,6 +363,8 @@ def integrate_system(
             raise DomainError("xi = 1 is a singular point")
     if (xi0 - 1.0) * (xi1 - 1.0) < 0:
         raise DomainError("integration path must not cross xi = 1")
+    import scipy.integrate  # only user in the package; kept off the import path
+
     a = sys.matrices.a_dense()
     b = sys.matrices.b_dense()
 

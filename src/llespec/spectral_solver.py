@@ -2,11 +2,12 @@
 maximal real eigenvalue beta(2) by two of the three routes (eigensolver and
 characteristic-polynomial root scan).
 
-Solver choice: when every off-diagonal product a_n is positive, B is
-diagonally similar to the symmetric tridiagonal matrix with off-diagonals
-sqrt(a_n) and an implicit-shift symmetric solver applies (real output
-guaranteed). Otherwise B, already Hessenberg, goes through a real
-double-shift QR reduction.
+Solver choice (`_eigenvalues`, the package's only eigensolver call): when
+every off-diagonal product a_n is positive, B is diagonally similar to the
+symmetric tridiagonal matrix with off-diagonals sqrt(a_n) and an
+implicit-shift symmetric solver applies (real output guaranteed). Otherwise
+B, already Hessenberg, goes through a real double-shift QR reduction of the
+dense matrix, for N up to DENSE_EIGEN_LIMIT.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, SizeError, ValidationError
+from .errors import CapacityError, NumericalError, SizeError, ValidationError
 from .levy_driver import EtaSequence
 from .loewner_system import (
     CharPolyRecurrence,
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 CLUSTER_TOL = 1e-7
+
+DENSE_EIGEN_LIMIT = 1 << 12
 
 _SCAN_POINTS = 2048
 _BISECT_REL = 1e-12
@@ -98,34 +101,62 @@ def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
     return out
 
 
+def _eigenvalues(diag, sub, sup) -> np.ndarray:
+    """Unsorted complex eigenvalues of the tridiagonal matrix with these
+    bands (sub below the diagonal, sup above)."""
+    n = len(diag)
+    if n == 1:
+        return np.array([diag[0] + 0.0j])
+    prod = sub * sup
+    if np.all(prod > 0):
+        return scipy.linalg.eigvalsh_tridiagonal(diag, np.sqrt(prod)).astype(complex)
+    if n > DENSE_EIGEN_LIMIT:
+        raise CapacityError(
+            f"dense eigensolver limited to N <= {DENSE_EIGEN_LIMIT}, got N={n}"
+        )
+    m = np.diag(diag)
+    m += np.diag(sup, 1) + np.diag(sub, -1)
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigensolver did not converge for N={n}; diag={diag.tolist()} "
+            f"sub={sub.tolist()} super={sup.tolist()}"
+        ) from exc
+
+
+def _max_real(eigs: np.ndarray, tol: float = CLUSTER_TOL) -> float:
+    """Largest real part among the eigenvalues within tol of the real axis."""
+    real = eigs.real[np.abs(eigs.imag) <= tol]
+    if real.size == 0:
+        raise NumericalError("spectrum contains no eigenvalue on the real axis")
+    return float(real.max())
+
+
+def _top_eigenvalue(m: LoewnerMatrices) -> float:
+    return _max_real(_eigenvalues(m.b_diag, m.b_sub, m.b_super))
+
+
+def _max_real_sequence(
+    eta: EtaSequence, variant: Variant, m_max: int
+) -> list[tuple[int, float]]:
+    """(M, maximal real eigenvalue of B) for M = 2..m_max."""
+    return [
+        (m, _top_eigenvalue(build_matrices(eta, m, variant)))
+        for m in range(2, m_max + 1)
+    ]
+
+
 def eigen_spectrum(
     m: LoewnerMatrices, cluster_tol: float = CLUSTER_TOL
 ) -> SpectrumResult:
     """All eigenvalues of B with deterministic ordering and classification."""
     if m.n < 1:
         raise SizeError("eigen_spectrum needs dimension >= 1")
-    if m.n == 1:
-        eigs = np.array([m.b_diag[0] + 0.0j])
-    else:
-        prod = m.b_sub * m.b_super
-        if np.all(prod > 0):
-            eigs = scipy.linalg.eigvalsh_tridiagonal(
-                m.b_diag, np.sqrt(prod)
-            ).astype(complex)
-        else:
-            try:
-                eigs = np.linalg.eigvals(m.b_dense())
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"eigensolver did not converge for N={m.n}; "
-                    f"diag={m.b_diag.tolist()} sub={m.b_sub.tolist()} "
-                    f"super={m.b_super.tolist()}"
-                ) from exc
+    eigs = _eigenvalues(m.b_diag, m.b_sub, m.b_super)
+    max_real = _max_real(eigs, cluster_tol)
     order = sorted(range(len(eigs)), key=lambda i: (-eigs[i].real, eigs[i].imag))
     eigs = [complex(eigs[i]) for i in order]
-    real_parts = [z.real for z in eigs if abs(z.imag) <= cluster_tol]
-    if not real_parts:
-        raise NumericalError("spectrum contains no eigenvalue on the real axis")
     clusters = _cluster(eigs, cluster_tol)
     centers = [c for c, _ in clusters]
     resonant = False
@@ -137,7 +168,7 @@ def eigen_spectrum(
                 resonant = True
     return SpectrumResult(
         eigenvalues=tuple(eigs),
-        max_real=max(real_parts),
+        max_real=max_real,
         n_nonneg_real=sum(
             1
             for z in eigs
@@ -171,15 +202,9 @@ def _gershgorin_bounds(rec: CharPolyRecurrence) -> tuple[float, float]:
 
 def _eig_fallback(rec: CharPolyRecurrence) -> float:
     # synthesized tridiagonal with sub = a_n, super = 1 shares the charpoly
-    n = rec.n
-    m = np.diag(np.array(rec.b, dtype=float))
-    if n > 1:
-        m += np.diag(np.ones(n - 1), 1) + np.diag(np.array(rec.a, dtype=float), -1)
-    eigs = np.linalg.eigvals(m)
-    real = [z.real for z in eigs if abs(z.imag) <= CLUSTER_TOL]
-    if not real:
-        raise NumericalError("no real root found by the eigenvalue fallback")
-    return max(real)
+    return _max_real(
+        _eigenvalues(np.array(rec.b), np.array(rec.a), np.ones(rec.n - 1))
+    )
 
 
 def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
@@ -282,22 +307,18 @@ def beta2(eta: EtaSequence, variant: Variant, m_max: int) -> Beta2Report:
     if n_tr is not None and n_tr <= m_max:
         # exact mode needs eta only up to the truncation order, so a short
         # formal sequence that closes is accepted regardless of m_max
-        spec = eigen_spectrum(build_matrices(eta, n_tr, variant))
         return Beta2Report(
             variant=variant,
             mode="truncated",
             n=n_tr,
             sequence=None,
-            beta2=spec.max_real,
+            beta2=_top_eigenvalue(build_matrices(eta, n_tr, variant)),
             converged=True,
             convergence_gap=0.0,
         )
     if eta.n_max < m_max:
         raise SizeError(f"eta covers n_max={eta.n_max}, need m_max={m_max}")
-    seq = []
-    for m in range(2, m_max + 1):
-        spec = eigen_spectrum(build_matrices(eta, m, variant))
-        seq.append((m, spec.max_real))
+    seq = _max_real_sequence(eta, variant, m_max)
     gaps = [abs(b - a) for (_, a), (_, b) in zip(seq, seq[1:])]
     gap = gaps[-1] if gaps else math.inf
     return Beta2Report(

@@ -103,12 +103,6 @@ class TestValidationExits:
         assert code == 2
         assert b"kappa" in err
 
-    def test_bad_thread_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("LLESPEC_THREADS", "zero")
-        code = main(["ple-curve", "--lambdas", "1,3"])
-        capsys.readouterr()
-        assert code == 2
-
     def test_precision_failure_is_exit_3(self, capsys):
         code = main(["fuchs", "--kappa", "2", "--n", "2", "--k-terms", "50"])
         capsys.readouterr()
@@ -120,6 +114,17 @@ class TestValidationExits:
             code = main(["fuchs", "--kappa", "2", "--n", "2", *extra])
             capsys.readouterr()
             assert code == 4
+
+    def test_ladder_beyond_double_precision_is_exit_2(self, capsys):
+        code = main(["fuchs", "--kappa", "2", "--n", "2", "--j-max", "60"])
+        assert code == 2
+        assert "j_max" in capsys.readouterr().err
+
+    def test_oversized_dense_spectrum_is_exit_4(self, capsys):
+        # kappa = 1 unbounded has a_n < 0, so only the dense solver applies
+        code = main(["spectrum", "--kappa", "1", "--n", "4097"])
+        assert code == 4
+        assert "4096" in capsys.readouterr().err
 
     def test_exception_exit_codes(self):
         assert ValidationError("x").exit_code == 2
@@ -140,16 +145,18 @@ class TestDeterminism:
         _, out2, _ = run_cli(*args)
         assert out1 == out2
 
-    def test_thread_count_does_not_change_bytes(self):
-        import os
-
-        base = dict(os.environ)
-        env1 = dict(base, LLESPEC_THREADS="1")
-        env4 = dict(base, LLESPEC_THREADS="4")
-        args = ("ple-curve", "--lambdas", "1,3,8,18", "--json")
-        _, out1, _ = run_cli(*args, env=env1)
-        _, out4, _ = run_cli(*args, env=env4)
-        assert out1 == out4
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # the integrator is imported by the one function that uses it
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, llespec.cli; "
+                "sys.exit('scipy.integrate' in sys.modules)",
+            ],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSpectrumCommand:

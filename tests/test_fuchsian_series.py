@@ -232,6 +232,14 @@ class TestLadder:
         with pytest.raises(ValidationError):
             GeometricLadder(j_min=5, j_max=5)
 
+    def test_j_max_stays_within_double_precision(self):
+        lad = GeometricLadder(j_min=6, j_max=52)
+        assert 1.0 not in lad.points(Variant.UNBOUNDED)
+        assert 1.0 not in lad.points(Variant.BOUNDED)
+        for j_max in (53, 10**9):
+            with pytest.raises(ValidationError):
+                GeometricLadder(j_min=6, j_max=j_max)
+
 
 class TestBlowup:
     def test_unbounded_truncation_exponent(self):

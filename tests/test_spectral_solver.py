@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from llespec import (
+    CapacityError,
     LevyDriver,
     SizeError,
     ValidationError,
@@ -18,8 +21,9 @@ from llespec import (
     recurrence_coefficients,
     validate_eta,
 )
+from llespec.cli import main
 from llespec.loewner_system import CharPolyRecurrence
-from llespec.spectral_solver import _cluster
+from llespec.spectral_solver import DENSE_EIGEN_LIMIT, _cluster, _eigenvalues
 from tests.conftest import random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
@@ -184,10 +188,13 @@ class TestClassifyRegime:
 
 class TestBeta2:
     def test_truncated_mode(self):
-        rep = beta2(eta_sequence(LevyDriver(kappa=2.0), 16), Variant.UNBOUNDED, 16)
+        eta = eta_sequence(LevyDriver(kappa=2.0), 16)
+        rep = beta2(eta, Variant.UNBOUNDED, 16)
         assert rep.mode == "truncated"
         assert rep.n == 2
         assert rep.beta2 == pytest.approx(4.0, abs=1e-12)
+        full = eigen_spectrum(build_matrices(eta, 2, Variant.UNBOUNDED))
+        assert rep.beta2 == full.max_real
         assert rep.converged
         assert rep.convergence_gap == 0.0
         assert rep.sequence is None
@@ -229,3 +236,39 @@ def test_spectrum_matches_numpy_oracle(rng):
         )
         ref = np.sort_complex(np.linalg.eigvals(m.b_dense()).astype(complex))
         np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-8)
+
+
+class TestMaxOnlyPath:
+    @pytest.mark.parametrize(
+        "kappa, variant, symmetric",
+        [(1.0, Variant.UNBOUNDED, False), (0.3, Variant.BOUNDED, True)],
+    )
+    def test_sequences_equal_eigen_spectrum(self, kappa, variant, symmetric, capsys):
+        m_max = 40
+        eta = eta_sequence(LevyDriver(kappa=kappa), m_max)
+        full = {
+            m: eigen_spectrum(build_matrices(eta, m, variant)).max_real
+            for m in range(2, m_max + 1)
+        }
+        top = build_matrices(eta, m_max, variant)
+        assert bool(np.all(top.b_sub * top.b_super > 0)) is symmetric
+        rep = beta2(eta, variant, m_max)
+        assert rep.mode == "sequence"
+        assert dict(rep.sequence) == full
+        code = main(
+            [
+                "sle-converge", "--kappa", repr(kappa), "--variant", variant.value,
+                "--m-max", str(m_max), "--json",
+            ]
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {m: v for m, v, _ in rows} == full
+
+    def test_dense_path_is_capped(self):
+        n = DENSE_EIGEN_LIMIT + 1
+        diag = np.zeros(n)
+        with pytest.raises(CapacityError):
+            _eigenvalues(diag, -np.ones(n - 1), np.ones(n - 1))
+        # the symmetric path needs no dense matrix and has no cap
+        assert len(_eigenvalues(diag, np.ones(n - 1), np.ones(n - 1))) == n
