@@ -28,7 +28,8 @@ from .levy_driver import (
     validate_eta,
 )
 from .loewner_system import Variant, build_matrices, truncation_order
-from .spectral_solver import _max_real_sequence, beta2, eigen_spectrum
+from .spectral_solver import _beta2_mode, _max_real_sequence, _top_eigenvalue
+from .spectral_solver import beta2, eigen_spectrum
 
 __all__ = ["main"]
 
@@ -196,6 +197,14 @@ def _cmd_spectrum(args) -> None:
     _emit(args, payload, rows)
 
 
+def _sequence_rows(seq) -> list[dict]:
+    """One row per (M, beta_max), with the gap to the previous row."""
+    return [
+        {"M": m, "beta_max": v, "gap": None if i == 0 else abs(v - seq[i - 1][1])}
+        for i, (m, v) in enumerate(seq)
+    ]
+
+
 def _cmd_beta2(args) -> None:
     variant = Variant.parse(args.variant)
     # short formal files are accepted here; beta2 itself rejects them unless
@@ -213,7 +222,7 @@ def _cmd_beta2(args) -> None:
         }
         rows = [{"M": rep.n, "beta_max": rep.beta2, "gap": 0.0}]
     else:
-        gaps = [abs(b - a) for (_, a), (_, b) in zip(rep.sequence, rep.sequence[1:])]
+        rows = _sequence_rows(rep.sequence)
         payload = {
             "variant": variant.value,
             "mode": "sequence",
@@ -221,16 +230,8 @@ def _cmd_beta2(args) -> None:
             "converged": rep.converged,
             "convergence_gap": rep.convergence_gap,
             "sequence": [[m, v] for m, v in rep.sequence],
-            "gaps": gaps,
+            "gaps": [r["gap"] for r in rows[1:]],
         }
-        rows = [
-            {
-                "M": m,
-                "beta_max": v,
-                "gap": None if i == 0 else gaps[i - 1],
-            }
-            for i, (m, v) in enumerate(rep.sequence)
-        ]
     _emit(args, payload, rows)
 
 
@@ -250,16 +251,8 @@ def _cmd_fuchs(args) -> None:
         "window_far": fit.window[1],
         "slopes": list(fit.slopes),
     }
-    rows = [
-        {
-            "beta_est": fit.beta_est,
-            "residual": fit.residual,
-            "oscillation_detected": fit.oscillation_detected,
-            "window_near": fit.window[0],
-            "window_far": fit.window[1],
-        }
-    ]
-    _emit(args, payload, rows)
+    keys = ("beta_est", "residual", "oscillation_detected", "window_near", "window_far")
+    _emit(args, payload, [{k: payload[k] for k in keys}])
 
 
 def _cmd_theorem1(args) -> None:
@@ -298,18 +291,17 @@ def _cmd_ple_curve(args) -> None:
     lambdas = _parse_grid(args.lambdas, "lambdas")
     if any(lam <= 0 or not math.isfinite(lam) for lam in lambdas):
         raise ValidationError("lambda grid entries must be positive and finite")
+    if args.m_max < 2:
+        raise ValidationError(f"--m-max must be >= 2, got {args.m_max}")
 
     def point(lam: float) -> dict:
-        # integer lambda truncates exactly at N = lambda + 2
+        # integer lambda truncates exactly at N = lambda + 2; any other lambda
+        # takes the top eigenvalue at N = m_max, the last of beta2's sequence
         m_max = max(args.m_max, int(math.ceil(lam)) + 2)
         eta = eta_sequence(LevyDriver(uniform_rate=lam), m_max)
-        rep = beta2(eta, Variant.BOUNDED, m_max)
-        return {
-            "lambda": lam,
-            "beta2": rep.beta2,
-            "mode": rep.mode,
-            "N": rep.n if rep.n is not None else rep.sequence[-1][0],
-        }
+        mode, n = _beta2_mode(eta, Variant.BOUNDED, m_max)
+        beta = _top_eigenvalue(build_matrices(eta, n, Variant.BOUNDED), n)
+        return {"lambda": lam, "beta2": beta, "mode": mode, "N": n}
 
     rows = [point(lam) for lam in lambdas]
     _emit(args, {"points": rows}, rows)
@@ -323,10 +315,7 @@ def _cmd_sle_converge(args) -> None:
     variant = Variant.parse(args.variant)
     eta = eta_sequence(LevyDriver(kappa=args.kappa), args.m_max)
     seq = _max_real_sequence(eta, variant, args.m_max)
-    rows = [
-        {"M": m, "beta_max": v, "gap": None if i == 0 else abs(v - seq[i - 1][1])}
-        for i, (m, v) in enumerate(seq)
-    ]
+    rows = _sequence_rows(seq)
     payload = {
         "kappa": args.kappa,
         "variant": variant.value,
@@ -449,7 +438,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_theorem1)
 
     p = sub.add_parser(
-        "ple-curve", parents=[output], help="beta(2) versus uniform jump rate"
+        "ple-curve",
+        parents=[output],
+        help="beta(2) versus uniform jump rate (bounded): integer lambda "
+        "truncates, any other lambda reports the top eigenvalue at "
+        "N = max(m_max, ceil(lambda) + 2)",
     )
     p.add_argument("--lambdas", default=_DEFAULT_LAMBDAS)
     p.add_argument("--m-max", type=int, default=40)

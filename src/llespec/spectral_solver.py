@@ -133,18 +133,23 @@ def _max_real(eigs: np.ndarray, tol: float = CLUSTER_TOL) -> float:
     return float(real.max())
 
 
-def _top_eigenvalue(m: LoewnerMatrices) -> float:
-    return _max_real(_eigenvalues(m.b_diag, m.b_sub, m.b_super))
+def _top_eigenvalue(m: LoewnerMatrices, n: int) -> float:
+    """Maximal real eigenvalue of the leading n x n block of B."""
+    return _max_real(_eigenvalues(m.b_diag[:n], m.b_sub[: n - 1], m.b_super[: n - 1]))
 
 
 def _max_real_sequence(
     eta: EtaSequence, variant: Variant, m_max: int
 ) -> list[tuple[int, float]]:
-    """(M, maximal real eigenvalue of B) for M = 2..m_max."""
-    return [
-        (m, _top_eigenvalue(build_matrices(eta, m, variant)))
-        for m in range(2, m_max + 1)
-    ]
+    """(M, maximal real eigenvalue of B) for M = 2..m_max.
+
+    Each band entry depends only on its own index, so the leading blocks of
+    the m_max system are the M-dimensional systems bitwise. M = m_max is
+    solved first: a size beyond the dense limit fails before any other solve.
+    """
+    m = build_matrices(eta, m_max, variant)
+    last = _top_eigenvalue(m, m_max)
+    return [(k, _top_eigenvalue(m, k)) for k in range(2, m_max)] + [(m_max, last)]
 
 
 def eigen_spectrum(
@@ -299,34 +304,36 @@ class Beta2Report:
     convergence_gap: float
 
 
-def beta2(eta: EtaSequence, variant: Variant, m_max: int) -> Beta2Report:
-    """beta(2) via truncation when available, else the convergence sequence."""
+def _beta2_mode(eta: EtaSequence, variant: Variant, m_max: int) -> tuple[str, int]:
+    """("truncated", N) when the system closes at an order N <= m_max, else
+    ("sequence", m_max); beta(2) is the top eigenvalue of B at that N."""
     if m_max < 2:
         raise SizeError(f"m_max must be >= 2, got {m_max}")
     n_tr = truncation_order(eta, variant)
     if n_tr is not None and n_tr <= m_max:
         # exact mode needs eta only up to the truncation order, so a short
         # formal sequence that closes is accepted regardless of m_max
-        return Beta2Report(
-            variant=variant,
-            mode="truncated",
-            n=n_tr,
-            sequence=None,
-            beta2=_top_eigenvalue(build_matrices(eta, n_tr, variant)),
-            converged=True,
-            convergence_gap=0.0,
-        )
+        return "truncated", n_tr
     if eta.n_max < m_max:
         raise SizeError(f"eta covers n_max={eta.n_max}, need m_max={m_max}")
-    seq = _max_real_sequence(eta, variant, m_max)
-    gaps = [abs(b - a) for (_, a), (_, b) in zip(seq, seq[1:])]
-    gap = gaps[-1] if gaps else math.inf
+    return "sequence", m_max
+
+
+def beta2(eta: EtaSequence, variant: Variant, m_max: int) -> Beta2Report:
+    """beta(2) via truncation when available, else the convergence sequence."""
+    mode, n = _beta2_mode(eta, variant, m_max)
+    if mode == "truncated":
+        seq, top, gap = None, _top_eigenvalue(build_matrices(eta, n, variant), n), 0.0
+    else:
+        seq = tuple(_max_real_sequence(eta, variant, m_max))
+        n, top = None, seq[-1][1]
+        gap = abs(top - seq[-2][1]) if len(seq) > 1 else math.inf
     return Beta2Report(
         variant=variant,
-        mode="sequence",
-        n=None,
-        sequence=tuple(seq),
-        beta2=seq[-1][1],
+        mode=mode,
+        n=n,
+        sequence=seq,
+        beta2=top,
         converged=gap < 1e-9,
         convergence_gap=gap,
     )

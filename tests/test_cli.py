@@ -11,20 +11,26 @@ from llespec import (
     CapacityError,
     DegeneracyError,
     DomainError,
+    LevyDriver,
     NumericalError,
     PoleError,
     PrecisionError,
     SizeError,
     ValidationError,
+    Variant,
+    beta2,
+    eta_sequence,
 )
+from llespec import spectral_solver
 from llespec.cli import main
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "llespec.cli", *args],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -125,6 +131,22 @@ class TestValidationExits:
         code = main(["spectrum", "--kappa", "1", "--n", "4097"])
         assert code == 4
         assert "4096" in capsys.readouterr().err
+
+    def test_oversized_sequence_is_exit_4_before_solving(self):
+        # every M of kappa = 1 unbounded takes the dense solver; M = 4097 is
+        # refused before any of the 4,095 smaller problems is solved
+        for command in ("beta2", "sle-converge"):
+            code, _, err = run_cli(
+                command, "--kappa", "1", "--m-max", "4097", timeout=60
+            )
+            assert code == 4
+            assert b"4096" in err
+
+    def test_ple_curve_m_max_below_2(self, capsys):
+        for m_max in ("1", "0", "-5"):
+            code = main(["ple-curve", "--lambdas", "1.5", "--m-max", m_max])
+            assert code == 2
+            assert "--m-max must be >= 2" in capsys.readouterr().err
 
     def test_exception_exit_codes(self):
         assert ValidationError("x").exit_code == 2
@@ -356,3 +378,29 @@ class TestPleCurve:
         assert len(vals) == 6
         assert vals == sorted(vals)
         assert all(r["mode"] == "truncated" for r in rows)
+
+    def test_non_integer_lambda_solves_once_at_m_max(self, capsys, monkeypatch):
+        lams = (1.5, 3.5, 98.5)
+        reports = [
+            beta2(eta_sequence(LevyDriver(uniform_rate=lam), 120), Variant.BOUNDED, 120)
+            for lam in lams
+        ]
+        sizes = []
+        solve = spectral_solver._eigenvalues
+
+        def counting(diag, sub, sup):
+            sizes.append(len(diag))
+            return solve(diag, sub, sup)
+
+        monkeypatch.setattr(spectral_solver, "_eigenvalues", counting)
+        code, text = run_main(
+            capsys, "ple-curve", "--lambdas", "1.5,3.5,98.5", "--m-max", "120", "--json"
+        )
+        assert code == 0
+        assert sizes == [120, 120, 120]
+        points = json.loads(text)["points"]
+        for pt, lam, rep in zip(points, lams, reports, strict=True):
+            assert rep.mode == "sequence"
+            assert pt == {
+                "lambda": lam, "beta2": rep.beta2, "mode": "sequence", "N": 120
+            }

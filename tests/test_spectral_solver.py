@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from llespec import (
     CapacityError,
@@ -23,7 +24,12 @@ from llespec import (
 )
 from llespec.cli import main
 from llespec.loewner_system import CharPolyRecurrence
-from llespec.spectral_solver import DENSE_EIGEN_LIMIT, _cluster, _eigenvalues
+from llespec.spectral_solver import (
+    DENSE_EIGEN_LIMIT,
+    _cluster,
+    _eigenvalues,
+    _max_real_sequence,
+)
 from tests.conftest import random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
@@ -264,6 +270,35 @@ class TestMaxOnlyPath:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert {m: v for m, v, _ in rows} == full
+
+    def test_sliced_bands_switch_solver_paths(self, monkeypatch):
+        # bounded uniform rate 98.5: every product a_n is positive up to
+        # M = 101, so the symmetric solver runs there and the dense one after
+        m_max = 120
+        eta = eta_sequence(LevyDriver(uniform_rate=98.5), m_max)
+        full = {
+            m: eigen_spectrum(build_matrices(eta, m, Variant.BOUNDED)).max_real
+            for m in range(2, m_max + 1)
+        }
+        sizes = {"symmetric": [], "dense": []}
+
+        def record(path, solve):
+            def wrapper(a, *rest):
+                sizes[path].append(len(a))
+                return solve(a, *rest)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            scipy.linalg,
+            "eigvalsh_tridiagonal",
+            record("symmetric", scipy.linalg.eigvalsh_tridiagonal),
+        )
+        monkeypatch.setattr(np.linalg, "eigvals", record("dense", np.linalg.eigvals))
+        assert dict(_max_real_sequence(eta, Variant.BOUNDED, m_max)) == full
+        # M = m_max is solved first, then M = 2 upward
+        assert sizes["dense"] == [m_max, *range(102, m_max)]
+        assert sizes["symmetric"] == list(range(2, 102))
 
     def test_dense_path_is_capped(self):
         n = DENSE_EIGEN_LIMIT + 1
