@@ -240,6 +240,12 @@ class CharPolyValue:
         return -math.inf if m == 0 else math.log(m) + self.log_scale
 
 
+def _needs_rescale(m: float) -> bool:
+    """True when the largest magnitude m of a recurrence's running values has
+    left [1e-150, 1e150] (an exact zero never needs it)."""
+    return m > _RESCALE_HI or 0.0 < m < _RESCALE_LO
+
+
 def charpoly_eval(rec: CharPolyRecurrence, beta) -> CharPolyValue:
     """Evaluate P_N at beta (real or complex) by the forward recurrence."""
     is_complex = isinstance(beta, complex)
@@ -251,13 +257,101 @@ def charpoly_eval(rec: CharPolyRecurrence, beta) -> CharPolyValue:
         p_next = (beta - rec.b[k]) * p_cur - a_k * p_prev
         p_prev, p_cur = p_cur, p_next
         m = max(abs(p_prev), abs(p_cur))
-        if m > _RESCALE_HI or (0.0 < m < _RESCALE_LO):
+        if _needs_rescale(m):
             p_prev /= m
             p_cur /= m
             log_scale += math.log(m)
     if is_complex:
         return CharPolyValue(complex(p_cur), log_scale)
     return CharPolyValue(complex(p_cur, 0.0), log_scale)
+
+
+def _charpoly_newton_pair(rec: CharPolyRecurrence, x: float) -> tuple[float, float]:
+    """P_N(x) and P_N'(x) from one forward pass, both times the same positive
+    factor (the lazy rescaling's), so their ratio is the Newton step.
+
+    P_{k+1}' = (x - b_k) P_k' + P_k - a_k P_{k-1}', differentiated from the
+    recurrence itself.
+    """
+    p_prev, p_cur, d_prev, d_cur = 0.0, 1.0, 0.0, 0.0
+    for a_k, b_k in zip((0.0,) + rec.a, rec.b):
+        t = x - b_k
+        p_prev, p_cur, d_prev, d_cur = (
+            p_cur,
+            t * p_cur - a_k * p_prev,
+            d_cur,
+            t * d_cur + p_cur - a_k * d_prev,
+        )
+        # cheap test on the new pair first; the older pair decides the scale
+        if not _RESCALE_LO <= abs(p_cur) + abs(d_cur) <= _RESCALE_HI:
+            m = max(abs(p_prev), abs(p_cur), abs(d_prev), abs(d_cur))
+            if _needs_rescale(m):
+                p_prev /= m
+                p_cur /= m
+                d_prev /= m
+                d_cur /= m
+    return p_cur, d_cur
+
+
+def _rescale_pair(prev: np.ndarray, cur: np.ndarray) -> None:
+    """Lazy rescaling of a vector recurrence pair, in place, by a power of
+    two, so that it rounds nothing. As in _charpoly_newton_pair, the newer
+    vector is tested first and the pair decides the scale."""
+    m = float(np.abs(cur).max())
+    if not _RESCALE_LO <= m <= _RESCALE_HI:
+        m = max(m, float(np.abs(prev).max()))
+        if _needs_rescale(m):
+            s = math.ldexp(1.0, -math.frexp(m)[1])
+            prev *= s
+            cur *= s
+
+
+def _charpoly_taylor(
+    rec: CharPolyRecurrence, c: float, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients of P_N at c in the variable t = (beta - c) / scale,
+    ascending, and a bound on their rounding errors, both times the same
+    positive factor. scale, a power of two near the spread of the roots,
+    keeps the coefficients within range of each other.
+
+    The recurrence runs on coefficient vectors: P_{k+1}(c + scale t) is
+    (c - b_k + scale t) P_k(c + scale t) - a_k P_{k-1}(c + scale t).
+
+    The bound is a first-order running error bound. Computing P_j rounds it
+    by at most 3u times lambda_j, the sum of the magnitudes of its terms
+    (u = 2^-53), and an error e in P_j reaches P_N as e Q_j, where Q_j is
+    the determinant of rows j..N-1 in the same variable. When no Q_j has a
+    negative Taylor coefficient at c, sum_j lambda_j Q_j bounds the error
+    coefficientwise, and that sum is the recurrence itself run with
+    lambda_{k+1} added at step k. The bound takes 8u for 3u, to cover the
+    second-order terms and its own rounding. It is inf when some Q_j has a
+    negative coefficient: the bound would not hold.
+    """
+    n = rec.n
+    d = c - np.asarray(rec.b, dtype=float)
+    a = np.asarray((0.0,) + rec.a + (0.0,), dtype=float)  # a_0 = a_N = 0
+    # Q_{N+1} = 0, Q_N = 1, Q_j = (d_j + scale t) Q_{j+1} - a_{j+1} Q_{j+2}
+    q_prev, q = np.zeros(n + 1), np.zeros(n + 1)
+    q[0] = 1.0
+    for j in range(n - 1, 0, -1):
+        q_next = d[j] * q - a[j + 1] * q_prev
+        q_next[1:] += scale * q[:-1]
+        if q_next.min() < 0.0:
+            return np.zeros(n + 1), np.full(n + 1, math.inf)
+        q_prev, q = q, q_next
+        _rescale_pair(q_prev, q)
+    # row 0 holds P_k, row 1 the running sum of lambda_j Q_j
+    prev, cur = np.zeros((2, n + 1)), np.zeros((2, n + 1))
+    cur[0, 0] = 1.0
+    for k in range(n):
+        lam = abs(d[k]) * np.abs(cur[0]) + abs(a[k]) * np.abs(prev[0])
+        lam[1:] += scale * np.abs(cur[0, :-1])
+        nxt = d[k] * cur - a[k] * prev
+        nxt[:, 1:] += scale * cur[:, :-1]
+        nxt[1] += lam
+        prev, cur = cur, nxt
+        _rescale_pair(prev, cur)
+    return cur[0], cur[1] * (8 * 2.0**-53)
 
 
 def _as_fraction(x: float) -> Fraction | None:

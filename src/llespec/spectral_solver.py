@@ -1,6 +1,13 @@
 """Eigenvalue spectra of the B matrices, their classification, and the
 maximal real eigenvalue beta(2) by two of the three routes (eigensolver and
-characteristic-polynomial root scan).
+certified top root of the characteristic polynomial).
+
+Route 2 (`max_real_root_detailed`): Newton's method on P_N from above the
+Gershgorin bound, then a certificate that the root is the top one (no sign
+change among the Taylor coefficients of P_N just above it, each beyond its
+rounding bound, and a sign change of P_N just below it). Only when the
+certificate is inconclusive does the eigensolver take part, and the result
+then says so (used_fallback=True).
 
 Solver choice (`_eigenvalues`, the package's only eigensolver call): when
 every off-diagonal product a_n is positive, B is diagonally similar to the
@@ -16,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, NumericalError, SizeError, ValidationError
 from .levy_driver import EtaSequence
@@ -24,8 +30,10 @@ from .loewner_system import (
     CharPolyRecurrence,
     LoewnerMatrices,
     Variant,
+    _charpoly_newton_pair,
+    _charpoly_taylor,
     build_matrices,
-    charpoly_eval,
+    charpoly_eval,  # unused here; bench/spans.py traces this module's name
     truncation_order,
 )
 
@@ -46,8 +54,11 @@ CLUSTER_TOL = 1e-7
 
 DENSE_EIGEN_LIMIT = 1 << 12
 
-_SCAN_POINTS = 2048
-_BISECT_REL = 1e-12
+# route 2: Newton's step budget, the certificate's relative half-width
+# delta, and the agreement an uncertified root needs with the eigenvalue
+_NEWTON_MAX_STEPS = 1000
+_CERT_REL = 1e-9
+_AGREE_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,9 @@ class SpectrumResult:
 
 def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
     # single-linkage union-find: join every pair within 2*tol; a chain of
-    # such steps merges without a bound on the cluster's span
+    # such steps merges without a bound on the cluster's span. A pair that
+    # close is at most 2*tol apart in real part, so a sweep in real order
+    # meets every such pair.
     n = len(eigs)
     parent = list(range(n))
 
@@ -82,8 +95,14 @@ def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    re = np.asarray(eigs, dtype=complex).real
+    order = np.argsort(re, kind="stable").tolist()
+    re = re[order].tolist()
+    for pos, i in enumerate(order):
+        for nxt in range(pos + 1, n):
+            if re[nxt] - re[pos] > 2 * tol:
+                break
+            j = order[nxt]
             if abs(eigs[i] - eigs[j]) <= 2 * tol:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -109,6 +128,8 @@ def _eigenvalues(diag, sub, sup) -> np.ndarray:
         return np.array([diag[0] + 0.0j])
     prod = sub * sup
     if np.all(prod > 0):
+        import scipy.linalg  # the one user in the package; kept off the import path
+
         return scipy.linalg.eigvalsh_tridiagonal(diag, np.sqrt(prod)).astype(complex)
     if n > DENSE_EIGEN_LIMIT:
         raise CapacityError(
@@ -160,28 +181,23 @@ def eigen_spectrum(
         raise SizeError("eigen_spectrum needs dimension >= 1")
     eigs = _eigenvalues(m.b_diag, m.b_sub, m.b_super)
     max_real = _max_real(eigs, cluster_tol)
-    order = sorted(range(len(eigs)), key=lambda i: (-eigs[i].real, eigs[i].imag))
-    eigs = [complex(eigs[i]) for i in order]
-    clusters = _cluster(eigs, cluster_tol)
-    centers = [c for c, _ in clusters]
-    resonant = False
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            d = centers[i] - centers[j]
-            k = round(d.real)
-            if abs(d.imag) <= cluster_tol and k != 0 and abs(d.real - k) < cluster_tol:
-                resonant = True
+    eigs = eigs[np.lexsort((eigs.imag, -eigs.real))].astype(complex)
+    clusters = _cluster(eigs.tolist(), cluster_tol)
+    # two real cluster centers a nonzero integer apart, within tolerance
+    centers = np.array([c for c, _ in clusters])
+    d = centers[:, None] - centers[None, :]
+    k = np.rint(d.real)
+    resonant = (
+        (np.abs(d.imag) <= cluster_tol) & (k != 0) & (np.abs(d.real - k) < cluster_tol)
+    )
+    on_axis = np.abs(eigs.imag) <= cluster_tol
     return SpectrumResult(
-        eigenvalues=tuple(eigs),
+        eigenvalues=tuple(eigs.tolist()),
         max_real=max_real,
-        n_nonneg_real=sum(
-            1
-            for z in eigs
-            if abs(z.imag) <= cluster_tol and z.real >= -cluster_tol
-        ),
+        n_nonneg_real=int(np.count_nonzero(on_axis & (eigs.real >= -cluster_tol))),
         clusters=tuple(clusters),
-        resonant=resonant,
-        all_real=all(abs(z.imag) <= cluster_tol for z in eigs),
+        resonant=bool(resonant.any()),
+        all_real=bool(on_axis.all()),
     )
 
 
@@ -206,58 +222,97 @@ def _gershgorin_bounds(rec: CharPolyRecurrence) -> tuple[float, float]:
 
 
 def _eig_fallback(rec: CharPolyRecurrence) -> float:
-    # synthesized tridiagonal with sub = a_n, super = 1 shares the charpoly
-    return _max_real(
-        _eigenvalues(np.array(rec.b), np.array(rec.a), np.ones(rec.n - 1))
-    )
+    # balanced bands sub = sign(a_n) sqrt|a_n|, super = sqrt|a_n| share the
+    # charpoly (same products); with sub = a_n and super = 1 the matrix is
+    # so badly scaled that eigvals loses the spectrum once |a_n| ~ 1e3
+    a = np.array(rec.a)
+    root = np.sqrt(np.abs(a))
+    return _max_real(_eigenvalues(np.array(rec.b), np.sign(a) * root, root))
+
+
+def _newton_from_above(rec: CharPolyRecurrence, hi: float) -> float:
+    """Newton's method on P_N from just above hi, an upper bound on its real
+    roots, until |step| stops shrinking or falls to a few ulps.
+
+    Steps are doubled until P_N turns negative or the step stops shrinking:
+    when every root is real, a double step from above the top root never
+    passes the top root of P_N', so it can overshoot only the top root of
+    P_N, and single steps then return to it (Stoer and Bulirsch, sec. 5.5).
+    """
+    x = hi + _CERT_REL * max(1.0, abs(hi))
+    factor = 2.0
+    last = math.inf
+    for _ in range(_NEWTON_MAX_STEPS):
+        p, dp = _charpoly_newton_pair(rec, x)
+        if dp == 0.0:
+            break
+        if factor == 2.0 and (p < 0.0 or not abs(2.0 * p / dp) < last):
+            factor, last = 1.0, math.inf
+        step = factor * p / dp
+        if not abs(step) < last:
+            break
+        x -= step
+        last = abs(step)
+        if last <= 4.0 * math.ulp(x):
+            break
+    return x
+
+
+def _certified_top_root(rec: CharPolyRecurrence, x: float, spread: float) -> bool:
+    """True when the top real root of P_N lies within 2 delta of x,
+    delta = 1e-9 max(1, |x|); False means only that the check is
+    inconclusive.
+
+    Every Taylor coefficient of P_N at c = x + delta must be positive by more
+    than its rounding bound: then Descartes' rule on P_N(c + t) finds no sign
+    change, so no real root lies above c (Budan-Fourier). Complex roots with
+    real part below c only add positive coefficients, so the check serves
+    both regimes of the a_n. P_N(c - 2 delta), summed from the same
+    coefficients with the same bounds, must be negative: a root lies in
+    between. The rounding bound is first order and holds where the trailing
+    determinants of the recurrence have no negative Taylor coefficient at c
+    (`_charpoly_taylor`); elsewhere it is infinite and the check fails.
+    """
+    if not math.isfinite(x):
+        return False
+    h = 2.0 * _CERT_REL * max(1.0, abs(x))
+    # a power of two near the roots' spread keeps the coefficients in range
+    scale = math.ldexp(1.0, math.frexp(spread)[1])
+    t, err = _charpoly_taylor(rec, x + 0.5 * h, scale)
+    if not np.all(t > err):
+        return False
+    # P_N(c - h) from the same coefficients; the factor 2 covers the
+    # rounding of the powers
+    powers = (-h / scale) ** np.arange(rec.n + 1)
+    below = float(t @ powers)
+    slack = float(err @ np.abs(powers))
+    slack += (rec.n + 1) * 2.0**-53 * float(np.abs(t) @ np.abs(powers))
+    return below < -2.0 * slack
 
 
 def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
-    """Maximal real root of P_N with a flag for the eigenvalue fallback.
+    """Maximal real root of P_N, certified, with a flag for the eigenvalue
+    fallback.
 
-    Descending scan from the Gershgorin upper bound with sign-change
-    bracketing, then bisection to 1e-12 relative. A polynomial that never
-    changes sign on the scan (even-multiplicity top root) falls back to the
-    eigenvalue route.
+    Newton's method on P_N, with P_N' from the same recurrence pass, starts
+    just above the Gershgorin upper bound, and the root it finds is then
+    certified as the top one (`_certified_top_root`). used_fallback=False
+    means the value is certified. used_fallback=True means the certificate
+    was inconclusive (an even-multiplicity top root, for one) and the value
+    was checked against the eigenvalue route: Newton's root when the two
+    agree to 1e-8, the eigenvalue otherwise.
     """
     if rec.n == 0:
         raise SizeError("P_0 = 1 has no roots")
     if rec.n == 1:
         return MaxRealRoot(value=rec.b[0], used_fallback=False)
     lo, hi = _gershgorin_bounds(rec)
-    pad = 1e-6 * max(1.0, abs(lo), abs(hi))
-    lo -= pad
-    hi += pad
-    xs = np.linspace(hi, lo, _SCAN_POINTS)
-    s_prev = charpoly_eval(rec, float(xs[0])).sign
-    if s_prev == 0:
-        return MaxRealRoot(value=float(xs[0]), used_fallback=False)
-    x_prev = float(xs[0])
-    bracket = None
-    for x in xs[1:]:
-        x = float(x)
-        s = charpoly_eval(rec, x).sign
-        if s == 0:
-            return MaxRealRoot(value=x, used_fallback=False)
-        if s != s_prev:
-            bracket = (x, x_prev, s)
-            break
-        x_prev = x
-    if bracket is None:
-        return MaxRealRoot(value=_eig_fallback(rec), used_fallback=True)
-    lo_b, hi_b, s_lo = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi_b)
-        if hi_b - lo_b <= _BISECT_REL * max(1.0, abs(mid)):
-            break
-        s_mid = charpoly_eval(rec, mid).sign
-        if s_mid == 0:
-            return MaxRealRoot(value=mid, used_fallback=False)
-        if s_mid == s_lo:
-            lo_b = mid
-        else:
-            hi_b = mid
-    return MaxRealRoot(value=0.5 * (lo_b + hi_b), used_fallback=False)
+    x = _newton_from_above(rec, hi)
+    if _certified_top_root(rec, x, hi - lo):
+        return MaxRealRoot(value=x, used_fallback=False)
+    eig = _eig_fallback(rec)
+    agree = abs(x - eig) <= _AGREE_REL * max(1.0, abs(eig))
+    return MaxRealRoot(value=x if agree else eig, used_fallback=True)
 
 
 def max_real_root(rec: CharPolyRecurrence) -> float:

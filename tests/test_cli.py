@@ -180,6 +180,19 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # the symmetric tridiagonal solver is imported where it is called
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, llespec.cli; "
+                "sys.exit('scipy.linalg' in sys.modules)",
+            ],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestSpectrumCommand:
     def test_auto_truncation(self, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from llespec import (
     truncation_order,
     validate_eta,
 )
+from llespec.loewner_system import (
+    CharPolyRecurrence,
+    _charpoly_newton_pair,
+    _charpoly_taylor,
+)
+from llespec.spectral_solver import _gershgorin_bounds
 from tests.conftest import random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)  # eta_n = n^2
@@ -153,6 +160,73 @@ class TestCharPolyEval:
         z = charpoly_eval(rec, 1.0 + 1.0j).value
         # (beta - 4)(beta - 1) at 1 + i
         assert z == pytest.approx((1 + 1j - 4) * (1 + 1j - 1), rel=1e-15)
+
+
+def _exact_system(rng, n, variant):
+    """Recurrence with small-rational eta, so charpoly_coefficients is exact."""
+    eta = validate_eta(rng.integers(0, 40, size=n) / 4.0)
+    return recurrence_coefficients(eta, n, variant)
+
+
+class TestNewtonPair:
+    def test_ratio_matches_exact(self, rng):
+        for variant in Variant:
+            for _ in range(10):
+                n = int(rng.integers(1, 10))
+                rec = _exact_system(rng, n, variant)
+                coeffs = charpoly_coefficients(rec)
+                for x in rng.uniform(-8, 12, size=3):
+                    xf = Fraction(float(x))
+                    p = sum(c * xf**k for k, c in enumerate(coeffs))
+                    dp = sum(k * c * xf ** (k - 1) for k, c in enumerate(coeffs) if k)
+                    got_p, got_dp = _charpoly_newton_pair(rec, float(x))
+                    if dp != 0:
+                        assert got_p / got_dp == pytest.approx(
+                            float(p / dp), rel=1e-10, abs=1e-12
+                        )
+
+    def test_rescaled_at_large_n(self):
+        # P_300(11) overflows doubles; the ratio P/P' stays exact in form
+        eta = eta_sequence(LevyDriver(kappa=1.0, uniform_rate=2.0), 300)
+        rec = recurrence_coefficients(eta, 300, Variant.UNBOUNDED)
+        p, dp = _charpoly_newton_pair(rec, 11.0)
+        h = 1e-6
+        slope = (
+            charpoly_eval(rec, 11.0 + h).log_abs - charpoly_eval(rec, 11.0 - h).log_abs
+        ) / (2 * h)
+        assert np.isfinite(p) and np.isfinite(dp)
+        assert dp / p == pytest.approx(slope, rel=1e-6)
+
+
+class TestCharPolyTaylor:
+    def test_matches_exact_shift_within_bound(self, rng):
+        for variant in Variant:
+            for _ in range(10):
+                n = int(rng.integers(2, 10))
+                rec = _exact_system(rng, n, variant)
+                coeffs = charpoly_coefficients(rec)
+                # above every root of every trailing block, where the bound holds
+                c = _gershgorin_bounds(rec)[1] + float(rng.uniform(0.0, 5.0))
+                scale = 4.0
+                cf, sf = Fraction(c), Fraction(scale)
+                exact = [
+                    sum(coeffs[j] * comb(j, k) * cf ** (j - k) for j in range(k, n + 1))
+                    * sf**k
+                    for k in range(n + 1)
+                ]
+                t, err = _charpoly_taylor(rec, c, scale)
+                factor = Fraction(float(t[-1])) / exact[-1]  # a power of two
+                for tk, ek, want in zip(t, err, exact):
+                    assert abs(Fraction(float(tk)) / factor - want) <= Fraction(
+                        float(ek)
+                    ) / factor
+                    assert ek < np.inf
+
+    def test_bound_is_inf_when_a_trailing_determinant_is_negative(self):
+        # Q_1 = (c - b_1) + scale t has a negative constant term at c = 1
+        rec = CharPolyRecurrence(variant=Variant.UNBOUNDED, a=(1.0,), b=(0.0, 5.0))
+        _, err = _charpoly_taylor(rec, 1.0, 4.0)
+        assert np.all(err == np.inf)
 
 
 class TestCharPolyCoefficients:

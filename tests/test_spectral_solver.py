@@ -23,18 +23,68 @@ from llespec import (
     validate_eta,
 )
 from llespec.cli import main
-from llespec.loewner_system import CharPolyRecurrence
+from llespec.loewner_system import CharPolyRecurrence, _charpoly_newton_pair
 from llespec.spectral_solver import (
     DENSE_EIGEN_LIMIT,
+    _certified_top_root,
     _cluster,
+    _eig_fallback,
     _eigenvalues,
+    _gershgorin_bounds,
     _max_real_sequence,
+    _newton_from_above,
 )
 from tests.conftest import random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
 ETA_PLE1 = eta_sequence(LevyDriver(uniform_rate=1.0), 8)
 ETA_SLE_N6 = eta_sequence(LevyDriver(kappa=2.0 * 8 / 36), 8)  # kappa_6 = 4/9
+
+
+def _cluster_all_pairs(eigs, tol):
+    """The all-pairs single-linkage clustering that _cluster replaced."""
+    n = len(eigs)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(eigs[i] - eigs[j]) <= 2 * tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(eigs[i])
+    out = []
+    for members in groups.values():
+        mean = sum(members) / len(members)
+        if abs(mean.imag) <= tol:
+            mean = complex(mean.real, 0.0)
+        out.append((mean, len(members)))
+    out.sort(key=lambda c: (-c[0].real, c[0].imag))
+    return out
+
+
+def _route2_systems(rng, count):
+    """(variant, N, eta) over both variants and N in 3..160, from
+    random_driver and from Brownian drivers with kappa in [0.003, 6], with
+    and without a uniform rate."""
+    for i in range(count):
+        variant = (Variant.UNBOUNDED, Variant.BOUNDED)[i % 2]
+        n = int(rng.integers(3, 161))
+        if i % 4 < 2:
+            driver = random_driver(rng)
+        else:
+            kappa = float(np.exp(rng.uniform(np.log(0.003), np.log(6.0))))
+            rate = float(rng.uniform(0.0, 5.0)) if i % 8 >= 4 else 0.0
+            driver = LevyDriver(kappa=kappa, uniform_rate=rate)
+        yield variant, n, eta_sequence(driver, n)
 
 
 class TestEigenSpectrum:
@@ -73,6 +123,24 @@ class TestEigenSpectrum:
         [(mean, mult)] = _cluster([0, 1.5e-7, 3e-7, 4.5e-7], 1e-7)
         assert mult == 4
         assert mean == pytest.approx(2.25e-7)
+
+    def test_cluster_matches_all_pairs(self, rng):
+        tol = 1e-7
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            z = rng.normal(size=n) * 10.0 ** rng.integers(-7, 2)
+            if trial % 3:  # complex values, some in conjugate pairs
+                z = z + 1j * rng.normal(size=n) * 10.0 ** rng.integers(-7, 1)
+                z[: n // 3] = z[n // 3 : 2 * (n // 3)].conj()
+            if trial % 4 == 0:  # chains of steps just under and over 2*tol
+                z = np.cumsum(rng.uniform(1.5, 2.5, size=n) * tol) + 0j
+            if trial % 5 == 0:  # exact repeats
+                z = np.repeat(z[: max(1, n // 3)], 3)
+            eigs = sorted(z.tolist(), key=lambda v: (-v.real, v.imag))
+            got = _cluster(eigs, tol)
+            want = _cluster_all_pairs(eigs, tol)
+            assert got == want
+            assert repr(got) == repr(want)
 
     def test_ordering_descending_real(self, rng):
         for variant in Variant:
@@ -147,6 +215,99 @@ class TestMaxRealRoot:
                 root = max_real_root(recurrence_coefficients(eta, n, variant))
                 eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
                 assert root == pytest.approx(eig, abs=1e-8)
+
+
+class TestCertifiedRoute2:
+    # top two roots closer than one step of a 2,048-point scan
+    @pytest.mark.parametrize(
+        "variant, kappa, n, want",
+        [
+            (Variant.BOUNDED, 1.0, 34, 0.4902404022140264),
+            (Variant.UNBOUNDED, 1.0, 128, 4.381966011250105),
+        ],
+    )
+    def test_scan_faults_are_certified(self, variant, kappa, n, want):
+        eta = eta_sequence(LevyDriver(kappa=kappa), n)
+        r = max_real_root_detailed(recurrence_coefficients(eta, n, variant))
+        assert not r.used_fallback
+        assert r.value == pytest.approx(want, rel=1e-8)
+        eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
+        assert r.value == pytest.approx(eig, rel=1e-8)
+
+    def test_close_top_pair_is_certified(self):
+        # roots 10 +/- 1e-5 and -10
+        rec = CharPolyRecurrence(
+            variant=Variant.UNBOUNDED, a=(1e-10, 1e-10), b=(10.0, 10.0, -10.0)
+        )
+        r = max_real_root_detailed(rec)
+        assert not r.used_fallback
+        assert r.value == pytest.approx(10.0000100000025, rel=1e-12)
+
+    def test_agrees_with_eigen_route_on_random_systems(self, rng):
+        count, certified = 300, 0
+        for variant, n, eta in _route2_systems(rng, count):
+            r = max_real_root_detailed(recurrence_coefficients(eta, n, variant))
+            eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
+            # certified or flagged, the value is the top eigenvalue
+            assert abs(r.value - eig) <= 1e-8 * max(1.0, abs(eig)), (variant, n)
+            certified += not r.used_fallback
+        # an inconclusive certificate is safe but slow; it should be rare
+        assert certified >= 0.95 * count
+
+    def test_certificate_rejects_points_off_the_top_root(self, rng):
+        tried = 0
+        for variant, n, eta in _route2_systems(rng, 40):
+            rec = recurrence_coefficients(eta, n, variant)
+            lo, hi = _gershgorin_bounds(rec)
+            top = _newton_from_above(rec, hi)
+            assert _certified_top_root(rec, top, hi - lo)
+            # above the top root: no root within 2e-9 relative
+            above = top + 1e-7 * max(1.0, abs(top))
+            assert not _certified_top_root(rec, above, hi - lo)
+            spec = eigen_spectrum(build_matrices(eta, n, variant))
+            real = [z.real for z in spec.eigenvalues if z.imag == 0.0]
+            for below in real[1:3]:  # the second- and third-highest
+                y = below
+                for _ in range(8):
+                    p, dp = _charpoly_newton_pair(rec, y)
+                    y -= p / dp
+                if abs(y - top) > 1e-6 * max(1.0, abs(top)):
+                    tried += 1
+                    assert not _certified_top_root(rec, y, hi - lo), (variant, n, y)
+        assert tried >= 60
+
+    def test_descartes_check_rejects_a_root_with_two_above(self):
+        # P_3 = (x - 0.5)(x - 2)(x - 3). Both trailing determinants, x^2 + 6/11
+        # and x, have positive Taylor coefficients at 0.5, and P_3 crosses
+        # zero upward there, so only the sign changes of P_3(0.5 + t) show
+        # the two roots above.
+        q = 6.0 / 11.0
+        rec = CharPolyRecurrence(
+            variant=Variant.UNBOUNDED, a=(q - 8.5, -q), b=(5.5, 0.0, 0.0)
+        )
+        lo, hi = _gershgorin_bounds(rec)
+        assert not _certified_top_root(rec, 0.5, hi - lo)
+        assert _certified_top_root(rec, 3.0, hi - lo)
+        r = max_real_root_detailed(rec)
+        assert not r.used_fallback
+        assert r.value == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "kappa, n, tol",
+        [
+            (0.0132775, 128, 1e-12),
+            (0.0125, 128, 1e-12),
+            (0.01, 160, 1e-12),
+            (1.0, 128, 1e-10),
+        ],
+    )
+    def test_eig_fallback_keeps_the_spectrum(self, kappa, n, tol):
+        # sub = a_n, super = 1 gave 393.76 at kappa=0.0132775 and found no
+        # real eigenvalue at kappa=0.0125 and 0.01
+        eta = eta_sequence(LevyDriver(kappa=kappa), n)
+        rec = recurrence_coefficients(eta, n, Variant.UNBOUNDED)
+        eig = eigen_spectrum(build_matrices(eta, n, Variant.UNBOUNDED)).max_real
+        assert _eig_fallback(rec) == pytest.approx(eig, abs=tol)
 
 
 class TestDescartes:
