@@ -2,9 +2,9 @@
 unbounded system and its beta(2) formula, truncated-SLE spectra for both
 variants, and the perturbed-N=6 complex-pair asymptotics.
 
-Everything here is an oracle for the matrix/series machinery, so the special
-functions (Gauss 2F1, Gamma) are implemented locally and unit-tested against
-independent references.
+Everything here is an oracle for the matrix/series machinery. The special
+functions (Gamma, Gauss 2F1) come from `math` and `scipy.special`; a raw
+partial sum of the 2F1 series stays as an independent reference for them.
 """
 
 from __future__ import annotations
@@ -42,24 +42,7 @@ __all__ = [
 
 BETA_SUP = 3.0 + math.sqrt(3.0)
 
-# Lanczos g=7, 9 coefficients; relative accuracy ~1e-13 on the positive axis
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _SERIES_TOL = 1e-14
-_MAX_TERMS = 50_000
-_MAX_TERMS_EXTENDED = 400_000
-_NEAR_INT = 0.05
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -67,20 +50,13 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 def gamma(x: float) -> float:
-    """Gamma function by the fixed-coefficient Lanczos approximation, with
-    reflection for x < 0.5."""
+    """Gamma function (math.gamma), with non-finite arguments and poles
+    rejected."""
     if not math.isfinite(x):
         raise DomainError(f"gamma needs a finite argument, got {x}")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def beta2_unbounded_n2(eta1: float) -> float:
@@ -162,53 +138,38 @@ def _gauss_series(a: float, b: float, c: float, x: float, max_terms: int) -> flo
 
 
 def gauss_2f1(a: float, b: float, c: float, xi: float) -> float:
-    """Gauss hypergeometric function on 0 <= xi < 1.
-
-    For xi > 0.75 a linear transformation toward argument 1 - xi is applied
-    when c - a - b stays away from an integer (and no Gamma factor sits on a
-    pole); otherwise raw summation continues with an extended term budget.
-    """
+    """Gauss hypergeometric function 2F1(a, b; c; xi) on 0 <= xi < 1, by
+    scipy.special.hyp2f1."""
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 undefined at nonpositive integer c={c}")
     if not 0.0 <= xi < 1.0:
         raise DomainError(f"2F1 evaluation needs 0 <= xi < 1, got {xi}")
-    if xi == 0.0:
-        return 1.0
-    if xi <= 0.75:
-        return _gauss_series(a, b, c, xi, _MAX_TERMS)
-    s = c - a - b
-    transform_ok = (
-        abs(s - round(s)) > _NEAR_INT
-        and not _is_nonpositive_integer(a)
-        and not _is_nonpositive_integer(b)
-        and not _is_nonpositive_integer(c - a)
-        and not _is_nonpositive_integer(c - b)
-    )
-    if not transform_ok:
-        return _gauss_series(a, b, c, xi, _MAX_TERMS_EXTENDED)
-    y = 1.0 - xi
-    first = (
-        gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
-    ) * _gauss_series(a, b, a + b - c + 1.0, y, _MAX_TERMS)
-    second = (
-        y**s
-        * gamma(c)
-        * gamma(-s)
-        / (gamma(a) * gamma(b))
-    ) * _gauss_series(c - a, c - b, s + 1.0, y, _MAX_TERMS)
-    return first + second
+    import scipy.special  # kept off the package import path
+
+    value = float(scipy.special.hyp2f1(a, b, c, xi))
+    if not math.isfinite(value):
+        raise PrecisionError(f"2F1({a}, {b}; {c}; {xi}) is not finite: {value}")
+    return value
 
 
 def gauss_at_one(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
-    valid for c - a - b > 0."""
+    valid for c - a - b > 0.
+
+    The ratio is formed in log-Gamma with the signs carried apart, so it
+    stays finite where the Gamma factors themselves overflow (c > 171).
+    """
     s = c - a - b
     if s <= 0:
         raise DomainError(f"gauss_at_one needs c - a - b > 0, got {s}")
     for name, val in (("c", c), ("c-a-b", s), ("c-a", c - a), ("c-b", c - b)):
         if _is_nonpositive_integer(val):
             raise PoleError(f"gamma pole in gauss_at_one: {name} = {val}")
-    return gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
+    from scipy.special import gammaln, gammasgn  # kept off the import path
+
+    log_ratio = gammaln(c) + gammaln(s) - gammaln(c - a) - gammaln(c - b)
+    sign = gammasgn(c) * gammasgn(s) * gammasgn(c - a) * gammasgn(c - b)
+    return float(sign * math.exp(log_ratio))
 
 
 @dataclass(frozen=True)

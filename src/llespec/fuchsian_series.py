@@ -117,13 +117,27 @@ def analytic_null_vector(m: LoewnerMatrices) -> np.ndarray:
     return v
 
 
+def _forward_substitute(diag: list, sub: list, shift: int, r: list) -> list:
+    """Solve the lower-bidiagonal system with diagonal diag + shift and
+    subdiagonal sub for right-hand side r, on Python floats."""
+    x = r[0] / (diag[0] + shift)
+    out = [x]
+    for d, s, r_i in zip(diag[1:], sub, r[1:]):
+        x = (r_i - s * x) / (d + shift)
+        out.append(x)
+    return out
+
+
 def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
     """Series coefficients c_0..c_{k_terms} of the analytic solution.
 
-    Unbounded: c_{n+1} = (A - (n+1) I)^{-1} (A - B - n I) c_n, each solve a
-    bidiagonal forward substitution (A's eigenvalues are <= 0, so the shifted
-    matrix is invertible). Bounded: c_n = (n I - (B - A))^{-1} B s_n with the
-    running prefix sum s_n = sum_{k<n} c_k kept incrementally.
+    Unbounded: c_{n+1} = (A - (n+1) I)^{-1} (A - B - n I) c_n. Bounded:
+    c_n = (A - B + n I)^{-1} B s_n with the running prefix sum
+    s_n = sum_{k<n} c_k kept incrementally. Each step is one forward
+    substitution down a lower-bidiagonal matrix, A or A - B shifted by an
+    integer; its pivots vanish only where a diagonal entry of A or B - A
+    equals the step's index, which is checked once before the loop. For
+    matrices from build_matrices those diagonals are <= 0.
     """
     if k_terms < 1:
         raise ValidationError(f"k_terms must be >= 1, got {k_terms}")
@@ -132,50 +146,39 @@ def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
             f"k_terms {k_terms} exceeds the series term limit {SERIES_TERM_LIMIT}"
         )
     m = sys.matrices
-    n_dim = m.n
     c = analytic_null_vector(m)
-    out = np.zeros((k_terms + 1, n_dim))
+    if m.variant is Variant.UNBOUNDED:
+        diag, sub = m.a_diag, m.a_off  # shifted by -n at step n
+        resonant = diag
+    else:
+        bma_diag, bma_sub = m.b_minus_a_bands()
+        diag, sub, resonant = -bma_diag, -bma_sub, bma_diag  # shifted by +n
+    # step n's pivot vanishes only where resonant = n: a double off an
+    # integer n >= 1 misses it by far more than _PIVOT_TINY
+    hits = resonant[
+        (resonant >= 1) & (resonant <= k_terms) & (resonant == np.floor(resonant))
+    ]
+    if hits.size:
+        raise DegeneracyError(f"singular solve at series index {int(hits.min())}")
+    diag, sub = diag.tolist(), sub.tolist()
+    out = np.zeros((k_terms + 1, m.n))
     out[0] = c
     if m.variant is Variant.UNBOUNDED:
         ab_diag, ab_super = m.a_minus_b_bands()
-        a_diag, a_sub = m.a_diag, m.a_off
         for k in range(k_terms):
             r = (ab_diag - k) * c
-            if n_dim > 1:
-                r[:-1] += ab_super * c[1:]
-            x = np.empty(n_dim)
-            piv = a_diag[0] - (k + 1)
-            if abs(piv) < _PIVOT_TINY:
-                raise DegeneracyError(f"singular solve at series index {k + 1}")
-            x[0] = r[0] / piv
-            for i in range(1, n_dim):
-                piv = a_diag[i] - (k + 1)
-                if abs(piv) < _PIVOT_TINY:
-                    raise DegeneracyError(f"singular solve at series index {k + 1}")
-                x[i] = (r[i] - a_sub[i - 1] * x[i - 1]) / piv
-            c = x
-            out[k + 1] = c
+            r[:-1] += ab_super * c[1:]
+            out[k + 1] = _forward_substitute(diag, sub, -(k + 1), r.tolist())
+            c = out[k + 1]
     else:
-        bma_diag, bma_sub = m.b_minus_a_bands()
         b_sub, b_diag, b_super = m.b_sub, m.b_diag, m.b_super
         s = c.copy()
         for k in range(1, k_terms + 1):
-            rhs = b_diag * s
-            if n_dim > 1:
-                rhs[:-1] += b_super * s[1:]
-                rhs[1:] += b_sub * s[:-1]
-            x = np.empty(n_dim)
-            piv = k - bma_diag[0]
-            if abs(piv) < _PIVOT_TINY:
-                raise DegeneracyError(f"singular solve at series index {k}")
-            x[0] = rhs[0] / piv
-            for i in range(1, n_dim):
-                piv = k - bma_diag[i]
-                if abs(piv) < _PIVOT_TINY:
-                    raise DegeneracyError(f"singular solve at series index {k}")
-                x[i] = (rhs[i] + bma_sub[i - 1] * x[i - 1]) / piv
-            s += x
-            out[k] = x
+            r = b_diag * s
+            r[:-1] += b_super * s[1:]
+            r[1:] += b_sub * s[:-1]
+            out[k] = _forward_substitute(diag, sub, k, r.tolist())
+            s += out[k]
     return ThetaSeries(variant=m.variant, coefficients=out, order=k_terms)
 
 

@@ -248,32 +248,20 @@ def _needs_rescale(m: float) -> bool:
 
 def charpoly_eval(rec: CharPolyRecurrence, beta) -> CharPolyValue:
     """Evaluate P_N at beta (real or complex) by the forward recurrence."""
-    is_complex = isinstance(beta, complex)
-    p_prev = 0.0 + 0.0j if is_complex else 0.0
-    p_cur = 1.0 + 0.0j if is_complex else 1.0
-    log_scale = 0.0
-    for k in range(rec.n):
-        a_k = rec.a[k - 1] if k >= 1 else 0.0
-        p_next = (beta - rec.b[k]) * p_cur - a_k * p_prev
-        p_prev, p_cur = p_cur, p_next
-        m = max(abs(p_prev), abs(p_cur))
-        if _needs_rescale(m):
-            p_prev /= m
-            p_cur /= m
-            log_scale += math.log(m)
-    if is_complex:
-        return CharPolyValue(complex(p_cur), log_scale)
-    return CharPolyValue(complex(p_cur, 0.0), log_scale)
+    p, _, log_scale = _charpoly_pass(rec, beta)
+    return CharPolyValue(complex(p), log_scale)
 
 
-def _charpoly_newton_pair(rec: CharPolyRecurrence, x: float) -> tuple[float, float]:
+def _charpoly_pass(rec: CharPolyRecurrence, x) -> tuple:
     """P_N(x) and P_N'(x) from one forward pass, both times the same positive
-    factor (the lazy rescaling's), so their ratio is the Newton step.
+    factor (the lazy rescaling's), so their ratio is the Newton step; and the
+    log of the factor divided out, so P_N(x) = p exp(log_scale).
 
     P_{k+1}' = (x - b_k) P_k' + P_k - a_k P_{k-1}', differentiated from the
     recurrence itself.
     """
     p_prev, p_cur, d_prev, d_cur = 0.0, 1.0, 0.0, 0.0
+    log_scale = 0.0
     for a_k, b_k in zip((0.0,) + rec.a, rec.b):
         t = x - b_k
         p_prev, p_cur, d_prev, d_cur = (
@@ -290,12 +278,13 @@ def _charpoly_newton_pair(rec: CharPolyRecurrence, x: float) -> tuple[float, flo
                 p_cur /= m
                 d_prev /= m
                 d_cur /= m
-    return p_cur, d_cur
+                log_scale += math.log(m)
+    return p_cur, d_cur, log_scale
 
 
 def _rescale_pair(prev: np.ndarray, cur: np.ndarray) -> None:
     """Lazy rescaling of a vector recurrence pair, in place, by a power of
-    two, so that it rounds nothing. As in _charpoly_newton_pair, the newer
+    two, so that it rounds nothing. As in _charpoly_pass, the newer
     vector is tested first and the pair decides the scale."""
     m = float(np.abs(cur).max())
     if not _RESCALE_LO <= m <= _RESCALE_HI:

@@ -30,7 +30,7 @@ from .loewner_system import (
     CharPolyRecurrence,
     LoewnerMatrices,
     Variant,
-    _charpoly_newton_pair,
+    _charpoly_pass,
     _charpoly_taylor,
     build_matrices,
     charpoly_eval,  # unused here; bench/spans.py traces this module's name
@@ -243,7 +243,7 @@ def _newton_from_above(rec: CharPolyRecurrence, hi: float) -> float:
     factor = 2.0
     last = math.inf
     for _ in range(_NEWTON_MAX_STEPS):
-        p, dp = _charpoly_newton_pair(rec, x)
+        p, dp, _ = _charpoly_pass(rec, x)
         if dp == 0.0:
             break
         if factor == 2.0 and (p < 0.0 or not abs(2.0 * p / dp) < last):

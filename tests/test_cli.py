@@ -23,6 +23,7 @@ from llespec import (
 )
 from llespec import spectral_solver
 from llespec.cli import main
+from llespec.closed_forms import HypergeometricParams, _gauss_series
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -167,27 +168,17 @@ class TestDeterminism:
         _, out2, _ = run_cli(*args)
         assert out1 == out2
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # the integrator is imported by the one function that uses it
+    @pytest.mark.parametrize(
+        "module", ["scipy.integrate", "scipy.linalg", "scipy.special"]
+    )
+    def test_import_leaves_scipy_unloaded(self, module):
+        # the integrator, the symmetric tridiagonal solver and the special
+        # functions are each imported by the functions that call them
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys, llespec.cli; "
-                "sys.exit('scipy.integrate' in sys.modules)",
-            ],
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # the symmetric tridiagonal solver is imported where it is called
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, llespec.cli; "
-                "sys.exit('scipy.linalg' in sys.modules)",
+                f"import sys, llespec.cli; sys.exit({module!r} in sys.modules)",
             ],
             capture_output=True,
         )
@@ -380,6 +371,17 @@ class TestTheorem1Command:
         assert doc["beta2_closed"] == pytest.approx(4.0)
         assert doc["abs_diff"] < 1e-10
         assert doc["values"][0]["f1"] == pytest.approx(-1.0)
+
+    def test_large_hypergeometric_c(self, capsys):
+        # c = 72.4: the 2F1 value must not overflow on the way
+        eta1 = 143.81309222219554
+        code, text = run_main(
+            capsys, "theorem1", "--eta1", repr(eta1), "--xi-grid", "0.8", "--json"
+        )
+        assert code == 0
+        p = HypergeometricParams.from_eta1(eta1)
+        want = _gauss_series(p.a, p.b, p.c, 0.8, 400_000)
+        assert json.loads(text)["values"][0]["f0"] == pytest.approx(want, rel=1e-12)
 
 
 class TestPleCurve:

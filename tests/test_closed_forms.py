@@ -123,7 +123,7 @@ class TestGauss2F1:
             assert gauss_2f1(a, b, c, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_transform_consistent_with_raw(self):
-        # near xi = 1 the linear transformation must agree with brute summation
+        # near xi = 1 hyp2f1 must agree with brute summation
         from llespec.closed_forms import _gauss_series
 
         a, b, c = 0.3, 0.7, 1.9
@@ -170,6 +170,17 @@ class TestGaussAtOne:
     def test_gamma_pole_rejected(self):
         with pytest.raises(PoleError):
             gauss_at_one(3.0, -0.5, 3.0)  # c - a = 0
+
+    def test_large_c(self):
+        # 40-digit mpmath values of 2F1(a, b; c; 1) at the same float
+        # parameters; c = 72.4, 170.5 and 500.5, where Gamma(c) overflows
+        for eta1, want in (
+            (143.81309222219554, 0.5083960651872421),
+            (340.0, 0.503527073454717),
+            (1000.0, 0.5011952070163581),
+        ):
+            p = HypergeometricParams.from_eta1(eta1)
+            assert gauss_at_one(p.a, p.b, p.c) == pytest.approx(want, rel=1e-12)
 
     def test_series_limit_agrees(self):
         # values on xi = 1 - 2^-j extrapolate to the Gamma-ratio limit

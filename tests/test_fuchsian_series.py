@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,22 @@ class TestSeriesSolution:
             series_solution(
                 _system(ETA_SLE2, 2, Variant.UNBOUNDED), SERIES_TERM_LIMIT + 1
             )
+
+    def test_resonant_shift_detected(self):
+        # a diagonal entry of A (unbounded) or B - A (bounded) equal to an
+        # integer j makes the solve for c_j singular; the first such j counts
+        cases = (
+            (ETA_SLE2, Variant.UNBOUNDED, [0.0, 5.0, 3.0], 3),
+            # B's diagonal is (-1, -2, -2), so B - A's is (0, 2, 0.5)
+            (ETA_PLE1, Variant.BOUNDED, [-1.0, -4.0, -2.5], 2),
+        )
+        for eta, variant, a_diag, index in cases:
+            m = dataclasses.replace(
+                build_matrices(eta, 3, variant), a_diag=np.array(a_diag)
+            )
+            series_solution(FuchsianSystem(m), index - 1)
+            with pytest.raises(DegeneracyError, match=f"series index {index}$"):
+                series_solution(FuchsianSystem(m), 10)
 
     def test_ode_residual_unbounded(self, rng):
         # xi (xi - 1) theta' = ((xi - 1) A - xi B) theta

@@ -23,7 +23,7 @@ from llespec import (
     validate_eta,
 )
 from llespec.cli import main
-from llespec.loewner_system import CharPolyRecurrence, _charpoly_newton_pair
+from llespec.loewner_system import CharPolyRecurrence, _charpoly_pass
 from llespec.spectral_solver import (
     DENSE_EIGEN_LIMIT,
     _certified_top_root,
@@ -39,6 +39,11 @@ from tests.conftest import random_driver
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
 ETA_PLE1 = eta_sequence(LevyDriver(uniform_rate=1.0), 8)
 ETA_SLE_N6 = eta_sequence(LevyDriver(kappa=2.0 * 8 / 36), 8)  # kappa_6 = 4/9
+
+
+def _charpoly_newton_pair(rec, x):
+    """P_N(x) and P_N'(x), both times the pass's rescaling factor."""
+    return _charpoly_pass(rec, x)[:2]
 
 
 def _cluster_all_pairs(eigs, tol):
