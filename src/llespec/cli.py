@@ -417,7 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="matrix dimension")
     p.add_argument("--m-max", type=int, default=64)
     p.add_argument("--j-min", type=int, default=6)
-    p.add_argument("--j-max", type=int, default=14)
+    p.add_argument(
+        "--j-max",
+        type=int,
+        default=14,
+        help="nearest ladder point |1 - xi| = 2^-j_max, at most 52; one "
+        "integration in log-distance reaches it (default 14)",
+    )
     p.add_argument(
         "--k-terms",
         type=int,

@@ -51,12 +51,15 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 def gamma(x: float) -> float:
     """Gamma function (math.gamma), with non-finite arguments and poles
-    rejected."""
+    rejected; a value beyond the double range raises PrecisionError."""
     if not math.isfinite(x):
         raise DomainError(f"gamma needs a finite argument, got {x}")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise PrecisionError(f"gamma({x}) overflows a double") from None
 
 
 def beta2_unbounded_n2(eta1: float) -> float:

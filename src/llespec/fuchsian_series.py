@@ -8,13 +8,17 @@ infinity), normalized so the first component of c_0 equals 1. Approaching
 xi = 1 along a geometric ladder, the angular mean of rho grows like
 |1 - xi|^(-beta), which gives the third, spectrum-independent route to
 beta(2). The series is summed only at the ladder point farthest from xi = 1;
-adaptive integration of the system (no singular point lies in between) carries
-theta from there to each nearer point.
+one adaptive integration of the system (no singular point lies in between)
+carries theta from there to every nearer point. It runs in the log-distance
+t = -log2|1 - xi|, where the ladder points are the integers t = j and the
+distance 2^-t is never formed by cancellation, so the ladder reaches the
+double-precision limit j_max = 52.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,17 +121,6 @@ def analytic_null_vector(m: LoewnerMatrices) -> np.ndarray:
     return v
 
 
-def _forward_substitute(diag: list, sub: list, shift: int, r: list) -> list:
-    """Solve the lower-bidiagonal system with diagonal diag + shift and
-    subdiagonal sub for right-hand side r, on Python floats."""
-    x = r[0] / (diag[0] + shift)
-    out = [x]
-    for d, s, r_i in zip(diag[1:], sub, r[1:]):
-        x = (r_i - s * x) / (d + shift)
-        out.append(x)
-    return out
-
-
 def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
     """Series coefficients c_0..c_{k_terms} of the analytic solution.
 
@@ -135,9 +128,10 @@ def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
     c_n = (A - B + n I)^{-1} B s_n with the running prefix sum
     s_n = sum_{k<n} c_k kept incrementally. Each step is one forward
     substitution down a lower-bidiagonal matrix, A or A - B shifted by an
-    integer; its pivots vanish only where a diagonal entry of A or B - A
-    equals the step's index, which is checked once before the loop. For
-    matrices from build_matrices those diagonals are <= 0.
+    integer, run on Python floats in one pass over the rows that also forms
+    the right-hand side; its pivots vanish only where a diagonal entry of A
+    or B - A equals the step's index, which is checked once before the loop.
+    For matrices from build_matrices those diagonals are <= 0.
     """
     if k_terms < 1:
         raise ValidationError(f"k_terms must be >= 1, got {k_terms}")
@@ -160,26 +154,42 @@ def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
     ]
     if hits.size:
         raise DegeneracyError(f"singular solve at series index {int(hits.min())}")
-    diag, sub = diag.tolist(), sub.tolist()
-    out = np.zeros((k_terms + 1, m.n))
-    out[0] = c
+    # The bands are padded at the first and last row so every row runs the
+    # same expression: a 0.0 band entry times a -0.0 neighbour adds -0.0,
+    # and the first row subtracts 0.0 * 0.0; both leave any value, -0.0
+    # included, exactly as it was.
+    c, diag, sub = c.tolist(), diag.tolist(), [0.0] + sub.tolist()
+    out = array("d", c)
     if m.variant is Variant.UNBOUNDED:
         ab_diag, ab_super = m.a_minus_b_bands()
+        rows = list(zip(ab_diag.tolist(), ab_super.tolist() + [0.0], diag, sub))
         for k in range(k_terms):
-            r = (ab_diag - k) * c
-            r[:-1] += ab_super * c[1:]
-            out[k + 1] = _forward_substitute(diag, sub, -(k + 1), r.tolist())
-            c = out[k + 1]
+            shift = -(k + 1)
+            x = 0.0
+            new = []
+            for (ab_d, ab_s, d, s), c_i, c_up in zip(rows, c, c[1:] + [-0.0]):
+                x = ((ab_d - k) * c_i + ab_s * c_up - s * x) / (d + shift)
+                new.append(x)
+            out.extend(new)
+            c = new
     else:
-        b_sub, b_diag, b_super = m.b_sub, m.b_diag, m.b_super
-        s = c.copy()
+        b_super, b_sub = m.b_super.tolist() + [0.0], [0.0] + m.b_sub.tolist()
+        rows = list(zip(m.b_diag.tolist(), b_super, b_sub, diag, sub))
+        prefix = c
         for k in range(1, k_terms + 1):
-            r = b_diag * s
-            r[:-1] += b_super * s[1:]
-            r[1:] += b_sub * s[:-1]
-            out[k] = _forward_substitute(diag, sub, k, r.tolist())
-            s += out[k]
-    return ThetaSeries(variant=m.variant, coefficients=out, order=k_terms)
+            x = 0.0
+            new = []
+            next_prefix = []
+            for (b_d, b_sup, b_sb, d, s), p_i, p_up, p_dn in zip(
+                rows, prefix, prefix[1:] + [-0.0], [-0.0] + prefix[:-1]
+            ):
+                x = (b_d * p_i + b_sup * p_up + b_sb * p_dn - s * x) / (d + k)
+                new.append(x)
+                next_prefix.append(p_i + x)
+            out.extend(new)
+            prefix = next_prefix
+    coefficients = np.frombuffer(out).reshape(k_terms + 1, m.n)
+    return ThetaSeries(variant=m.variant, coefficients=coefficients, order=k_terms)
 
 
 def _series_argument(series: ThetaSeries, xi: float) -> float:
@@ -299,8 +309,10 @@ def blowup_exponent(
 
     theta is summed from the series (k_terms terms, default 24 * 2^j_min) at
     the ladder point farthest from xi = 1 only, where the estimated series
-    tail must stay below 1e-6 relative to theta; integrate_system then
-    carries theta from each ladder point to the next.
+    tail must stay below 1e-6 relative to theta. One integration in the
+    log-distance t = -log2|1 - xi| then carries theta to every nearer ladder
+    point, which sits at an integer t = j; no distance is formed by
+    cancellation, so the ladder holds to the double-precision limit j_max = 52.
 
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
@@ -321,11 +333,11 @@ def blowup_exponent(
             f"series tail {tail / scale:.2e} exceeds {_TAIL_GATE:.0e} at the "
             f"ladder start xi={points[0]}; raise k_terms"
         )
-    means = [_angular_mean(sys.variant, theta, points[0])]
-    for xi0, xi1 in zip(points, points[1:]):
-        theta = integrate_system(sys, xi0, theta, xi1)
-        means.append(_angular_mean(sys.variant, theta, xi1))
-    g = np.array(means)
+    sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
+    js = range(ladder.j_min, ladder.j_max + 1)
+    nearer = _integrate_log_distance(sys, sign, (js[0], js[-1]), theta, t_eval=js[1:])
+    thetas = [theta, *nearer.T]
+    g = np.array([_angular_mean(sys.variant, th, xi) for th, xi in zip(thetas, points)])
     oscillation = bool(np.any(g[:-1] * g[1:] < 0))
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
@@ -357,8 +369,8 @@ def integrate_system(
     rtol: float = 1e-10,
 ) -> np.ndarray:
     """Adaptive integration of theta' = A theta / xi - B theta / (xi - 1)
-    from xi0 to xi1 with DOP853; blowup_exponent steps along its ladder with
-    it."""
+    from xi0 to xi1 with DOP853, carried out in the log-distance
+    t = -log2|1 - xi| as blowup_exponent's ladder is."""
     if xi0 <= 0 or xi1 <= 0:
         raise DomainError("integration requires positive xi")
     for x in (xi0, xi1):
@@ -366,24 +378,46 @@ def integrate_system(
             raise DomainError("xi = 1 is a singular point")
     if (xi0 - 1.0) * (xi1 - 1.0) < 0:
         raise DomainError("integration path must not cross xi = 1")
+    sign = 1.0 if xi0 > 1.0 else -1.0
+    t_span = tuple(-math.log2(abs(1.0 - x)) for x in (xi0, xi1))
+    return _integrate_log_distance(sys, sign, t_span, theta0, rtol=rtol)[:, -1]
+
+
+def _integrate_log_distance(
+    sys: FuchsianSystem,
+    sign: float,
+    t_span: tuple[float, float],
+    theta0: np.ndarray,
+    t_eval=None,
+    rtol: float = 1e-10,
+) -> np.ndarray:
+    """theta carried over t_span on the side xi = 1 + sign * 2^-t of the
+    singular point, one column per point of t_eval (default: each step).
+
+    With d = sign * 2^-t the system reads
+    dtheta/dt = ln2 [B theta - d / (1 + d) A theta]; d is exact in t, so
+    theta is carried as close to xi = 1 as 2^-t resolves.
+    """
     import scipy.integrate  # only user in the package; kept off the import path
 
-    a = sys.matrices.a_dense()
-    b = sys.matrices.b_dense()
+    ln2_a = math.log(2.0) * sys.matrices.a_dense()
+    ln2_b = math.log(2.0) * sys.matrices.b_dense()
 
-    def rhs(x, th):
-        return a @ th / x - b @ th / (x - 1.0)
+    def rhs(t, th):
+        d = sign * 2.0**-t
+        return ln2_b @ th - d / (1.0 + d) * (ln2_a @ th)
 
     theta0 = np.asarray(theta0, dtype=float)
     scale = float(np.max(np.abs(theta0))) or 1.0
     sol = scipy.integrate.solve_ivp(
         rhs,
-        (xi0, xi1),
+        t_span,
         theta0,
         method="DOP853",
+        t_eval=t_eval,
         rtol=rtol,
         atol=1e-13 * scale,
     )
     if not sol.success:
         raise NumericalError(f"integration failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol.y

@@ -343,6 +343,16 @@ class TestFuchsCommand:
         assert code == 0
         assert json.loads(text)["beta_est"] == pytest.approx(4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("j_max", [40, 52])
+    def test_ladder_to_double_precision_limit(self, capsys, j_max):
+        # |1 - xi| = 2^-52 is the last distance a double resolves
+        code, text = run_main(
+            capsys,
+            "fuchs", "--kappa", "2", "--n", "2", "--j-max", str(j_max), "--json",
+        )
+        assert code == 0
+        assert abs(json.loads(text)["beta_est"] - 4.0) < 1e-9
+
 
 class TestPerturbationCommand:
     def test_matched_rows(self, capsys):

@@ -11,7 +11,9 @@ from llespec import (
     GeometricLadder,
     HypergeometricParams,
     LevyDriver,
+    LLESpecError,
     PoleError,
+    PrecisionError,
     RealizabilityWarning,
     SizeError,
     Variant,
@@ -94,6 +96,15 @@ class TestGamma:
         for bad in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 gamma(bad)
+
+    def test_overflow_is_a_library_error(self):
+        # math.gamma raises a bare OverflowError past ~171.6 and near 0
+        for x in (200.0, 171.7, 1e-320, -1e-320):
+            with pytest.raises(PrecisionError, match="overflows"):
+                gamma(x)
+        with pytest.raises(LLESpecError):
+            gamma(200.0)
+        assert gamma(-200.5) == 0.0  # underflow stays a value
 
     def test_reflection_region(self, rng):
         for x in rng.uniform(-10.0, -0.1, size=50):

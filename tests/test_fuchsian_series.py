@@ -124,6 +124,29 @@ class TestSeriesSolution:
             with pytest.raises(DegeneracyError, match=f"series index {index}$"):
                 series_solution(FuchsianSystem(m), 10)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_recurrence_residual(self, rng, variant):
+        # every step solves its recurrence row by row to rounding:
+        # unbounded (A - (k+1) I) c_{k+1} = (A - B - k I) c_k, bounded
+        # (A - B + k I) c_k = B s_k with s_k = c_0 + ... + c_{k-1}
+        k_terms = 700
+        for n in (1, 3, 14):
+            for _ in range(3):
+                m = build_matrices(eta_sequence(random_driver(rng), 14), n, variant)
+                c = series_solution(FuchsianSystem(m), k_terms).coefficients
+                a, b, eye = m.a_dense(), m.b_dense(), np.eye(n)
+                prefix = np.cumsum(c, axis=0)
+                for k in range(k_terms):
+                    if variant is Variant.UNBOUNDED:
+                        lhs, x = a - (k + 1) * eye, c[k + 1]
+                        rhs, y = a - b - k * eye, c[k]
+                    else:
+                        lhs, x = a - b + (k + 1) * eye, c[k + 1]
+                        rhs, y = b, prefix[k]
+                    residual = np.abs(lhs @ x - rhs @ y)
+                    scale = np.abs(lhs) @ np.abs(x) + np.abs(rhs) @ np.abs(y)
+                    assert np.all(residual <= 1e-13 * scale), (n, k)
+
     def test_ode_residual_unbounded(self, rng):
         # xi (xi - 1) theta' = ((xi - 1) A - xi B) theta
         for _ in range(20):
@@ -291,6 +314,15 @@ class TestBlowup:
             fit = blowup_exponent(FuchsianSystem(m))
             top = eigen_spectrum(m).max_real
             assert fit.beta_est == pytest.approx(top, abs=1e-7)
+
+    def test_deep_ladder_matches_eigenvalue(self):
+        # the fit keeps improving toward xi = 1 instead of losing the
+        # distance 2^-j to cancellation
+        eta = eta_sequence(LevyDriver(kappa=4.0 / 9.0), 6)
+        m = build_matrices(eta, 6, Variant.UNBOUNDED)
+        fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, 34))
+        assert not fit.oscillation_detected
+        assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-8
 
     def test_insufficient_terms_raises(self):
         with pytest.raises(PrecisionError, match="k_terms|integrate_system"):
