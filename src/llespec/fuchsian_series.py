@@ -2,9 +2,12 @@
 blowup-exponent fit at xi = 1.
 
 The system theta'(xi) = A theta / xi - B theta / (xi - 1) has residues A, -B,
-B - A at xi = 0, 1, infinity. The analytic solution is a power series in xi
-(unbounded variant, centered at 0) or in 1/xi (bounded variant, centered at
-infinity), normalized so the first component of c_0 equals 1. Approaching
+B - A at xi = 0, 1, infinity. Both variants are solved as one system in the
+local variable x, x = xi (unbounded) or x = 1/xi (bounded): the substitution
+x = 1/xi swaps 0 and infinity, so both read
+theta'(x) = A0 theta / x - B theta / (x - 1) with A0 = A (unbounded) or
+A0 = B - A (bounded). The analytic solution is a power series in x about
+x = 0, normalized so the first component of c_0 equals 1. Approaching
 xi = 1 along a geometric ladder, the angular mean of rho grows like
 |1 - xi|^(-beta), which gives the third, spectrum-independent route to
 beta(2). The series is summed only at the ladder point farthest from xi = 1;
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +56,7 @@ _TAIL_GATE = 1e-6
 
 SERIES_TERM_LIMIT = 1 << 20
 _J_MAX_LIMIT = 52
+_INTEGRATION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,10 @@ class FuchsianSystem:
     """The linear system theta' = A theta / xi - B theta / (xi - 1)."""
 
     matrices: LoewnerMatrices
-    n: int = field(default=0)
 
-    def __post_init__(self):
-        if self.n == 0:
-            object.__setattr__(self, "n", self.matrices.n)
-        elif self.n != self.matrices.n:
-            raise ValidationError(
-                f"dimension {self.n} does not match matrices of size {self.matrices.n}"
-            )
+    @property
+    def n(self) -> int:
+        return self.matrices.n
 
     @property
     def variant(self) -> Variant:
@@ -79,42 +78,51 @@ class FuchsianSystem:
 class ThetaSeries:
     """Truncated series about the analytic point.
 
-    coefficients[k] is the N-vector multiplying xi^k (unbounded) or xi^{-k}
-    (bounded). Normalization: coefficients[0][0] == 1.
+    coefficients[k] is the N-vector multiplying x^k, where x = xi
+    (unbounded) or x = 1/xi (bounded). Normalization: coefficients[0][0] == 1.
     """
 
     variant: Variant
     coefficients: np.ndarray
-    order: int
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 2 or c.shape[0] != self.order + 1:
+        if c.ndim != 2 or 0 in c.shape:
             raise ValidationError("coefficients must have shape (order+1, N)")
         if c[0, 0] != 1.0:
             raise ValidationError("series normalization requires c_0[0] = 1")
         object.__setattr__(self, "coefficients", c)
 
     @property
+    def order(self) -> int:
+        return self.coefficients.shape[0] - 1
+
+    @property
     def n(self) -> int:
         return self.coefficients.shape[1]
 
 
-def analytic_null_vector(m: LoewnerMatrices) -> np.ndarray:
-    """Null vector of the residue matrix at the analytic point, v_0 = 1.
+def _local_bands(m: LoewnerMatrices):
+    """Bands of the system in x: ((diag, sub) of A0, (diag, super) of A0 - B).
 
-    Unbounded: solves A v = 0 down the lower-bidiagonal bands,
-    v_i = ((eta_i - i - 2) / (eta_i + i)) v_{i-1}. Bounded: solves
-    (B - A) v = 0 by the same forward substitution on its lower bands.
+    A0 = A (unbounded) or B - A (bounded) is lower bidiagonal, and A0 - B,
+    which is A - B or -A, upper bidiagonal: A's off-diagonal and the
+    matching one of B are the same expression, so they cancel exactly and
+    the cancelled band is not formed.
     """
-    n = m.n
-    v = np.zeros(n)
-    v[0] = 1.0
     if m.variant is Variant.UNBOUNDED:
-        diag, sub = m.a_diag, m.a_off
-    else:
-        diag, sub = m.b_minus_a_bands()
-    for i in range(1, n):
+        return (m.a_diag, m.a_off), (m.a_diag - m.b_diag, -m.b_super)
+    return (m.b_diag - m.a_diag, m.b_sub), (-m.a_diag, -m.a_off)
+
+
+def analytic_null_vector(m: LoewnerMatrices) -> np.ndarray:
+    """Null vector of A0, the residue matrix at the analytic point x = 0,
+    with v_0 = 1: forward substitution down A0's lower-bidiagonal bands
+    (unbounded: v_i = ((eta_i - i - 2) / (eta_i + i)) v_{i-1})."""
+    (diag, sub), _ = _local_bands(m)
+    v = np.zeros(m.n)
+    v[0] = 1.0
+    for i in range(1, m.n):
         if abs(diag[i]) < _PIVOT_TINY:
             raise DegeneracyError(f"vanishing pivot at row {i} of the residue matrix")
         v[i] = -sub[i - 1] * v[i - 1] / diag[i]
@@ -122,16 +130,15 @@ def analytic_null_vector(m: LoewnerMatrices) -> np.ndarray:
 
 
 def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
-    """Series coefficients c_0..c_{k_terms} of the analytic solution.
+    """Series coefficients c_0..c_{k_terms} of the analytic solution in x.
 
-    Unbounded: c_{n+1} = (A - (n+1) I)^{-1} (A - B - n I) c_n. Bounded:
-    c_n = (A - B + n I)^{-1} B s_n with the running prefix sum
-    s_n = sum_{k<n} c_k kept incrementally. Each step is one forward
-    substitution down a lower-bidiagonal matrix, A or A - B shifted by an
-    integer, run on Python floats in one pass over the rows that also forms
-    the right-hand side; its pivots vanish only where a diagonal entry of A
-    or B - A equals the step's index, which is checked once before the loop.
-    For matrices from build_matrices those diagonals are <= 0.
+    c_{k+1} = (A0 - (k+1) I)^{-1} (A0 - B - k I) c_k. Each step is one
+    forward substitution down the lower-bidiagonal A0 shifted by -(k+1),
+    run on Python floats in one pass over the rows that also forms the
+    right-hand side from the upper-bidiagonal A0 - B. Its pivots vanish only
+    where a diagonal entry of A0 equals the step's index, which is checked
+    once before the loop. For matrices from build_matrices those diagonals
+    are <= 0.
     """
     if k_terms < 1:
         raise ValidationError(f"k_terms must be >= 1, got {k_terms}")
@@ -141,59 +148,36 @@ def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
         )
     m = sys.matrices
     c = analytic_null_vector(m)
-    if m.variant is Variant.UNBOUNDED:
-        diag, sub = m.a_diag, m.a_off  # shifted by -n at step n
-        resonant = diag
-    else:
-        bma_diag, bma_sub = m.b_minus_a_bands()
-        diag, sub, resonant = -bma_diag, -bma_sub, bma_diag  # shifted by +n
-    # step n's pivot vanishes only where resonant = n: a double off an
-    # integer n >= 1 misses it by far more than _PIVOT_TINY
-    hits = resonant[
-        (resonant >= 1) & (resonant <= k_terms) & (resonant == np.floor(resonant))
-    ]
+    (diag, sub), (ab_diag, ab_super) = _local_bands(m)
+    # step k's pivot vanishes only where diag = k: a double off an integer
+    # k >= 1 misses it by far more than _PIVOT_TINY
+    hits = diag[(diag >= 1) & (diag <= k_terms) & (diag == np.floor(diag))]
     if hits.size:
         raise DegeneracyError(f"singular solve at series index {int(hits.min())}")
     # The bands are padded at the first and last row so every row runs the
     # same expression: a 0.0 band entry times a -0.0 neighbour adds -0.0,
     # and the first row subtracts 0.0 * 0.0; both leave any value, -0.0
     # included, exactly as it was.
-    c, diag, sub = c.tolist(), diag.tolist(), [0.0] + sub.tolist()
+    c = c.tolist()
     out = array("d", c)
-    if m.variant is Variant.UNBOUNDED:
-        ab_diag, ab_super = m.a_minus_b_bands()
-        rows = list(zip(ab_diag.tolist(), ab_super.tolist() + [0.0], diag, sub))
-        for k in range(k_terms):
-            shift = -(k + 1)
-            x = 0.0
-            new = []
-            for (ab_d, ab_s, d, s), c_i, c_up in zip(rows, c, c[1:] + [-0.0]):
-                x = ((ab_d - k) * c_i + ab_s * c_up - s * x) / (d + shift)
-                new.append(x)
-            out.extend(new)
-            c = new
-    else:
-        b_super, b_sub = m.b_super.tolist() + [0.0], [0.0] + m.b_sub.tolist()
-        rows = list(zip(m.b_diag.tolist(), b_super, b_sub, diag, sub))
-        prefix = c
-        for k in range(1, k_terms + 1):
-            x = 0.0
-            new = []
-            next_prefix = []
-            for (b_d, b_sup, b_sb, d, s), p_i, p_up, p_dn in zip(
-                rows, prefix, prefix[1:] + [-0.0], [-0.0] + prefix[:-1]
-            ):
-                x = (b_d * p_i + b_sup * p_up + b_sb * p_dn - s * x) / (d + k)
-                new.append(x)
-                next_prefix.append(p_i + x)
-            out.extend(new)
-            prefix = next_prefix
+    sub = [0.0] + sub.tolist()
+    rows = list(zip(ab_diag.tolist(), ab_super.tolist() + [0.0], diag.tolist(), sub))
+    for k in range(k_terms):
+        shift = -(k + 1)
+        x = 0.0
+        new = []
+        for (ab_d, ab_s, d, s), c_i, c_up in zip(rows, c, c[1:] + [-0.0]):
+            x = ((ab_d - k) * c_i + ab_s * c_up - s * x) / (d + shift)
+            new.append(x)
+        out.extend(new)
+        c = new
     coefficients = np.frombuffer(out).reshape(k_terms + 1, m.n)
-    return ThetaSeries(variant=m.variant, coefficients=coefficients, order=k_terms)
+    return ThetaSeries(variant=m.variant, coefficients=coefficients)
 
 
-def _series_argument(series: ThetaSeries, xi: float) -> float:
-    if series.variant is Variant.UNBOUNDED:
+def _local_argument(variant: Variant, xi: float) -> float:
+    """x = xi (unbounded) or 1/xi (bounded), inside the series' domain."""
+    if variant is Variant.UNBOUNDED:
         if not 0.0 <= xi < 1.0:
             raise DomainError(f"unbounded evaluation needs 0 <= xi < 1, got {xi}")
         return xi
@@ -209,7 +193,7 @@ def evaluate_theta_with_tail(
 ) -> tuple[np.ndarray, float]:
     """theta(xi) plus a geometric truncation-tail estimate continued from the
     last retained term."""
-    x = _series_argument(series, xi)
+    x = _local_argument(series.variant, xi)
     c = series.coefficients
     powers = x ** np.arange(series.order + 1)
     theta = c.T @ powers
@@ -224,7 +208,7 @@ def evaluate_theta(series: ThetaSeries, xi: float) -> np.ndarray:
 
 def evaluate_theta_derivative(series: ThetaSeries, xi: float) -> np.ndarray:
     """d theta / d xi at xi, from the term-by-term derivative."""
-    x = _series_argument(series, xi)
+    x = _local_argument(series.variant, xi)
     c = series.coefficients
     k = np.arange(series.order + 1)
     inner = c.T @ (k * x ** np.maximum(k - 1, 0) * (k > 0))
@@ -237,24 +221,19 @@ def evaluate_theta_derivative(series: ThetaSeries, xi: float) -> np.ndarray:
 def angular_mean_rho(series: ThetaSeries, xi: float) -> float:
     """Zero Fourier mode of rho at radius-squared xi.
 
-    Unbounded: (1 + xi) theta_0 - 2 xi theta_1, from averaging
-    (1 - w)(1 - conj(w)) Theta over the circle; bounded analog
-    (1 + 1/xi) theta_0 - 2 theta_1 / xi from rho = (1 - 1/w)(1 - 1/conj(w))
-    Theta. For N = 1 the theta_1 term is absent.
+    (1 + x) theta_0 - 2 x theta_1 with x = xi or 1/xi, from averaging
+    (1 - w)(1 - conj(w)) Theta (unbounded) or
+    (1 - 1/w)(1 - 1/conj(w)) Theta (bounded) over the circle. For N = 1 the
+    theta_1 term is absent.
     """
-    return _angular_mean(series.variant, evaluate_theta(series, xi), xi)
+    x = _local_argument(series.variant, xi)
+    return _angular_mean(evaluate_theta(series, xi), x)
 
 
-def _angular_mean(variant: Variant, theta: np.ndarray, xi: float) -> float:
-    if variant is Variant.UNBOUNDED:
-        mean = (1.0 + xi) * theta[0]
-        if len(theta) > 1:
-            mean -= 2.0 * xi * theta[1]
-        return float(mean)
-    inv = 0.0 if xi == math.inf else 1.0 / xi
-    mean = (1.0 + inv) * theta[0]
+def _angular_mean(theta: np.ndarray, x: float) -> float:
+    mean = (1.0 + x) * theta[0]
     if len(theta) > 1:
-        mean -= 2.0 * inv * theta[1]
+        mean -= 2.0 * x * theta[1]
     return float(mean)
 
 
@@ -276,9 +255,6 @@ class GeometricLadder:
     def points(self, variant: Variant) -> list[float]:
         sign = -1.0 if variant is Variant.UNBOUNDED else 1.0
         return [1.0 + sign * 2.0 ** (-j) for j in range(self.j_min, self.j_max + 1)]
-
-    def distances(self) -> list[float]:
-        return [2.0 ** (-j) for j in range(self.j_min, self.j_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -337,7 +313,8 @@ def blowup_exponent(
     js = range(ladder.j_min, ladder.j_max + 1)
     nearer = _integrate_log_distance(sys, sign, (js[0], js[-1]), theta, t_eval=js[1:])
     thetas = [theta, *nearer.T]
-    g = np.array([_angular_mean(sys.variant, th, xi) for th, xi in zip(thetas, points)])
+    xs = [_local_argument(sys.variant, xi) for xi in points]
+    g = np.array([_angular_mean(th, x) for th, x in zip(thetas, xs)])
     oscillation = bool(np.any(g[:-1] * g[1:] < 0))
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
@@ -366,11 +343,15 @@ def integrate_system(
     xi0: float,
     theta0: np.ndarray,
     xi1: float,
-    rtol: float = 1e-10,
 ) -> np.ndarray:
     """Adaptive integration of theta' = A theta / xi - B theta / (xi - 1)
     from xi0 to xi1 with DOP853, carried out in the log-distance
-    t = -log2|1 - xi| as blowup_exponent's ladder is."""
+    t = -log2|1 - xi| as blowup_exponent's ladder is.
+
+    The path must approach xi = 1 (|1 - xi1| <= |1 - xi0|): away from it
+    the solutions singular at xi = 0 or infinity grow and swamp the
+    analytic one, and the result would be wrong without a sign of it.
+    """
     if xi0 <= 0 or xi1 <= 0:
         raise DomainError("integration requires positive xi")
     for x in (xi0, xi1):
@@ -378,9 +359,14 @@ def integrate_system(
             raise DomainError("xi = 1 is a singular point")
     if (xi0 - 1.0) * (xi1 - 1.0) < 0:
         raise DomainError("integration path must not cross xi = 1")
+    if abs(1.0 - xi1) > abs(1.0 - xi0):
+        raise DomainError(
+            f"integration from xi={xi0} to xi={xi1} moves away from xi = 1; "
+            "the analytic solution would be swamped"
+        )
     sign = 1.0 if xi0 > 1.0 else -1.0
     t_span = tuple(-math.log2(abs(1.0 - x)) for x in (xi0, xi1))
-    return _integrate_log_distance(sys, sign, t_span, theta0, rtol=rtol)[:, -1]
+    return _integrate_log_distance(sys, sign, t_span, theta0)[:, -1]
 
 
 def _integrate_log_distance(
@@ -389,7 +375,6 @@ def _integrate_log_distance(
     t_span: tuple[float, float],
     theta0: np.ndarray,
     t_eval=None,
-    rtol: float = 1e-10,
 ) -> np.ndarray:
     """theta carried over t_span on the side xi = 1 + sign * 2^-t of the
     singular point, one column per point of t_eval (default: each step).
@@ -415,7 +400,7 @@ def _integrate_log_distance(
         theta0,
         method="DOP853",
         t_eval=t_eval,
-        rtol=rtol,
+        rtol=_INTEGRATION_RTOL,
         atol=1e-13 * scale,
     )
     if not sol.success:

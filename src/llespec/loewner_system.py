@@ -91,24 +91,6 @@ class LoewnerMatrices:
             m += np.diag(self.a_off, off)
         return m
 
-    def a_minus_b_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag, super) of A - B for UNBOUNDED, where the subdiagonals of A
-        and B coincide and cancel exactly."""
-        if self.variant is not Variant.UNBOUNDED:
-            raise ValidationError("a_minus_b_bands applies to the unbounded variant")
-        return self.a_diag - self.b_diag, -self.b_super
-
-    def b_minus_a_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag, sub) of B - A for BOUNDED, where the superdiagonals of B and
-        A coincide and cancel exactly."""
-        if self.variant is not Variant.BOUNDED:
-            raise ValidationError("b_minus_a_bands applies to the bounded variant")
-        return self.b_diag - self.a_diag, self.b_sub.copy()
-
-
-def _eta_at(eta: EtaSequence, i: int) -> float:
-    return 0.0 if i == 0 else eta.values[i - 1]
-
 
 def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrices:
     """Assemble the A and B bands of the N-dimensional system.
@@ -119,7 +101,7 @@ def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrice
         raise SizeError(f"matrix dimension must be >= 1, got {n}")
     if eta.n_max < n - 1:
         raise SizeError(f"eta covers n_max={eta.n_max}, need {n - 1} for dimension {n}")
-    e = [_eta_at(eta, i) for i in range(n)]
+    e = [0.0, *eta.values[: n - 1]]  # eta_0 = 0
     if variant is Variant.UNBOUNDED:
         b_diag = np.array([3.0 - e[i] for i in range(n)])
         # first-row entry -2 verbatim; generic (e+i-2)/2 from i >= 1
@@ -354,15 +336,15 @@ def _as_fraction(x: float) -> Fraction | None:
     return f if float(f) == x else None
 
 
-def charpoly_coefficients(rec: CharPolyRecurrence, limit: int = COEFFICIENT_LIMIT):
+def charpoly_coefficients(rec: CharPolyRecurrence):
     """Monomial coefficients of P_N, ascending (beta^0 .. beta^N).
 
     Exact Fractions when every a_n, b_n hides a small-denominator rational,
     floats otherwise.
     """
-    if rec.n > limit:
+    if rec.n > COEFFICIENT_LIMIT:
         raise CapacityError(
-            f"degree {rec.n} exceeds the coefficient limit {limit}"
+            f"degree {rec.n} exceeds the coefficient limit {COEFFICIENT_LIMIT}"
         )
     a_fr = [_as_fraction(x) for x in rec.a]
     b_fr = [_as_fraction(x) for x in rec.b]

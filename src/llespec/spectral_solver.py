@@ -68,7 +68,7 @@ class SpectrumResult:
     eigenvalues are sorted by (real part descending, imaginary part
     ascending). clusters groups eigenvalues by single linkage: two belong to
     one cluster when a chain of eigenvalues joins them with every step at
-    most 2*cluster_tol, so a cluster may span more than 2*cluster_tol.
+    most 2*CLUSTER_TOL, so a cluster may span more than 2*CLUSTER_TOL.
     Each is reported as (mean, multiplicity). resonant means two cluster
     centers on the real axis differ by a nonzero integer within tolerance.
     """
@@ -146,9 +146,10 @@ def _eigenvalues(diag, sub, sup) -> np.ndarray:
         ) from exc
 
 
-def _max_real(eigs: np.ndarray, tol: float = CLUSTER_TOL) -> float:
-    """Largest real part among the eigenvalues within tol of the real axis."""
-    real = eigs.real[np.abs(eigs.imag) <= tol]
+def _max_real(eigs: np.ndarray) -> float:
+    """Largest real part among the eigenvalues within CLUSTER_TOL of the real
+    axis."""
+    real = eigs.real[np.abs(eigs.imag) <= CLUSTER_TOL]
     if real.size == 0:
         raise NumericalError("spectrum contains no eigenvalue on the real axis")
     return float(real.max())
@@ -173,28 +174,26 @@ def _max_real_sequence(
     return [(k, _top_eigenvalue(m, k)) for k in range(2, m_max)] + [(m_max, last)]
 
 
-def eigen_spectrum(
-    m: LoewnerMatrices, cluster_tol: float = CLUSTER_TOL
-) -> SpectrumResult:
+def eigen_spectrum(m: LoewnerMatrices) -> SpectrumResult:
     """All eigenvalues of B with deterministic ordering and classification."""
     if m.n < 1:
         raise SizeError("eigen_spectrum needs dimension >= 1")
     eigs = _eigenvalues(m.b_diag, m.b_sub, m.b_super)
-    max_real = _max_real(eigs, cluster_tol)
+    max_real = _max_real(eigs)
     eigs = eigs[np.lexsort((eigs.imag, -eigs.real))].astype(complex)
-    clusters = _cluster(eigs.tolist(), cluster_tol)
+    clusters = _cluster(eigs.tolist(), CLUSTER_TOL)
     # two real cluster centers a nonzero integer apart, within tolerance
     centers = np.array([c for c, _ in clusters])
     d = centers[:, None] - centers[None, :]
     k = np.rint(d.real)
     resonant = (
-        (np.abs(d.imag) <= cluster_tol) & (k != 0) & (np.abs(d.real - k) < cluster_tol)
+        (np.abs(d.imag) <= CLUSTER_TOL) & (k != 0) & (np.abs(d.real - k) < CLUSTER_TOL)
     )
-    on_axis = np.abs(eigs.imag) <= cluster_tol
+    on_axis = np.abs(eigs.imag) <= CLUSTER_TOL
     return SpectrumResult(
         eigenvalues=tuple(eigs.tolist()),
         max_real=max_real,
-        n_nonneg_real=int(np.count_nonzero(on_axis & (eigs.real >= -cluster_tol))),
+        n_nonneg_real=int(np.count_nonzero(on_axis & (eigs.real >= -CLUSTER_TOL))),
         clusters=tuple(clusters),
         resonant=bool(resonant.any()),
         all_real=bool(on_axis.all()),

@@ -266,7 +266,6 @@ class TestLadder:
         lad = GeometricLadder(j_min=2, j_max=4)
         assert lad.points(Variant.UNBOUNDED) == [0.75, 0.875, 0.9375]
         assert lad.points(Variant.BOUNDED) == [1.25, 1.125, 1.0625]
-        assert lad.distances() == [0.25, 0.125, 0.0625]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -349,6 +348,19 @@ class TestIntegration:
         start = evaluate_theta(series, 50.0)
         got = integrate_system(sys, 50.0, start, 1.5)
         np.testing.assert_allclose(got, evaluate_theta(series, 1.5), rtol=1e-7)
+
+    def test_refuses_to_move_away_unbounded(self):
+        # toward xi = 0 the solutions singular there swamp the analytic one
+        sys = _system(eta_sequence(LevyDriver(kappa=0.3), 6), 6, Variant.UNBOUNDED)
+        start = evaluate_theta(series_solution(sys, 2000), 0.5)
+        with pytest.raises(DomainError, match="away from xi = 1"):
+            integrate_system(sys, 0.5, start, 0.01)
+
+    def test_refuses_to_move_away_bounded(self):
+        sys = _system(ETA_PLE1, 3, Variant.BOUNDED)
+        start = evaluate_theta(series_solution(sys, 2000), 1.5)
+        with pytest.raises(DomainError, match="away from xi = 1"):
+            integrate_system(sys, 1.5, start, 1e6)
 
     def test_cannot_cross_singularity(self):
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)

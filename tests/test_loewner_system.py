@@ -18,6 +18,7 @@ from llespec import (
     truncation_order,
     validate_eta,
 )
+from llespec.fuchsian_series import _local_bands
 from llespec.loewner_system import (
     CharPolyRecurrence,
     _charpoly_pass,
@@ -65,22 +66,24 @@ class TestMatrixExamples:
             build_matrices(short, 4, Variant.UNBOUNDED)
 
     def test_difference_bands_cancel(self, rng):
-        # A - B (unbounded) is upper bidiagonal, B - A (bounded) lower
+        # in x = xi or 1/xi, A0 = A (unbounded) or B - A (bounded) is lower
+        # bidiagonal and A0 - B upper bidiagonal
         for _ in range(10):
             eta = eta_sequence(random_driver(rng), 7)
-            unb = build_matrices(eta, 6, Variant.UNBOUNDED)
-            diag, sup = unb.a_minus_b_bands()
-            dense = unb.a_dense() - unb.b_dense()
-            np.testing.assert_allclose(np.diag(dense), diag, rtol=0, atol=0)
-            np.testing.assert_allclose(np.diag(dense, 1), sup, rtol=0, atol=0)
-            assert np.all(np.diag(dense, -1) == 0.0)
-
-            bnd = build_matrices(eta, 6, Variant.BOUNDED)
-            diag, sub = bnd.b_minus_a_bands()
-            dense = bnd.b_dense() - bnd.a_dense()
-            np.testing.assert_allclose(np.diag(dense), diag, rtol=0, atol=0)
-            np.testing.assert_allclose(np.diag(dense, -1), sub, rtol=0, atol=0)
-            assert np.all(np.diag(dense, 1) == 0.0)
+            for variant in Variant:
+                m = build_matrices(eta, 6, variant)
+                a, b = m.a_dense(), m.b_dense()
+                a0 = a if variant is Variant.UNBOUNDED else b - a
+                (diag, sub), (ab_diag, ab_sup) = _local_bands(m)
+                np.testing.assert_allclose(np.diag(a0), diag, rtol=0, atol=0)
+                np.testing.assert_allclose(np.diag(a0, -1), sub, rtol=0, atol=0)
+                assert np.all(np.diag(a0, 1) == 0.0)
+                assert np.all(np.diag(a0 - b, -1) == 0.0)
+                # for the bounded variant A0 - B is -A, formed without rounding
+                dense = a - b if variant is Variant.UNBOUNDED else -a
+                np.testing.assert_allclose(np.diag(dense), ab_diag, rtol=0, atol=0)
+                np.testing.assert_allclose(np.diag(dense, 1), ab_sup, rtol=0, atol=0)
+                assert np.all(np.diag(dense, -1) == 0.0)
 
 
 class TestRecurrence:
