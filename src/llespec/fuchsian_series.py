@@ -15,7 +15,10 @@ one adaptive integration of the system (no singular point lies in between)
 carries theta from there to every nearer point. It runs in the log-distance
 t = -log2|1 - xi|, where the ladder points are the integers t = j and the
 distance 2^-t is never formed by cancellation, so the ladder reaches the
-double-precision limit j_max = 52.
+double-precision limit j_max = 52. There theta grows like 2^(beta t); the
+integrator carries theta times the integrating factor e^(-r t), with r the
+Rayleigh quotient of the limit operator ln2 B at the start vector, so its
+steps do not have to follow that growth.
 """
 
 from __future__ import annotations
@@ -351,6 +354,9 @@ def integrate_system(
     The path must approach xi = 1 (|1 - xi1| <= |1 - xi0|): away from it
     the solutions singular at xi = 0 or infinity grow and swamp the
     analytic one, and the result would be wrong without a sign of it.
+    DOP853 carries theta times an exact integrating factor that removes its
+    dominant growth or decay toward xi = 1 (see _integrate_log_distance),
+    so a solution that decays along the path keeps its relative accuracy.
     """
     if xi0 <= 0 or xi1 <= 0:
         raise DomainError("integration requires positive xi")
@@ -382,18 +388,31 @@ def _integrate_log_distance(
     With d = sign * 2^-t the system reads
     dtheta/dt = ln2 [B theta - d / (1 + d) A theta]; d is exact in t, so
     theta is carried as close to xi = 1 as 2^-t resolves.
+
+    As d -> 0 the operator tends to ln2 B, so theta grows or decays like
+    2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
+    r = theta0' (ln2 B) theta0 / theta0' theta0 (0 for a zero theta0), the
+    Rayleigh quotient of ln2 B at the start vector. The change of variables
+    is exact: phi' = rhs(phi) - r phi, and each returned column is scaled
+    back by e^(r (t - t0)). With the dominant growth taken out the steps
+    follow only what is left of it, and a decaying solution is not lost to
+    the fixed atol.
     """
     import scipy.integrate  # only user in the package; kept off the import path
 
     ln2_a = math.log(2.0) * sys.matrices.a_dense()
     ln2_b = math.log(2.0) * sys.matrices.b_dense()
-
-    def rhs(t, th):
-        d = sign * 2.0**-t
-        return ln2_b @ th - d / (1.0 + d) * (ln2_a @ th)
-
     theta0 = np.asarray(theta0, dtype=float)
     scale = float(np.max(np.abs(theta0))) or 1.0
+    # the quotient is taken on theta0 / scale, so its sums cannot overflow
+    u = theta0 / scale
+    norm2 = float(u @ u)
+    r = float(u @ ln2_b @ u) / norm2 if norm2 else 0.0
+
+    def rhs(t, phi):
+        d = sign * 2.0**-t
+        return ln2_b @ phi - d / (1.0 + d) * (ln2_a @ phi) - r * phi
+
     sol = scipy.integrate.solve_ivp(
         rhs,
         t_span,
@@ -405,4 +424,4 @@ def _integrate_log_distance(
     )
     if not sol.success:
         raise NumericalError(f"integration failed: {sol.message}")
-    return sol.y
+    return sol.y * np.exp(r * (sol.t - t_span[0]))

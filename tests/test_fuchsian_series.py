@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,14 @@ class TestBlowup:
         assert not fit.oscillation_detected
         assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-8
 
+    def test_deep_ladder_matches_eigenvalue_to_1e10(self):
+        # with theta's 2^(beta t) growth taken out of the integrated
+        # variable, the deep ladder resolves the eigenvalue to 1e-10
+        eta = eta_sequence(LevyDriver(kappa=4.0 / 9.0), 6)
+        m = build_matrices(eta, 6, Variant.UNBOUNDED)
+        fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, 34))
+        assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-10
+
     def test_insufficient_terms_raises(self):
         with pytest.raises(PrecisionError, match="k_terms|integrate_system"):
             blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED), k_terms=50)
@@ -348,6 +357,36 @@ class TestIntegration:
         start = evaluate_theta(series, 50.0)
         got = integrate_system(sys, 50.0, start, 1.5)
         np.testing.assert_allclose(got, evaluate_theta(series, 1.5), rtol=1e-7)
+
+    @pytest.mark.parametrize(
+        "variant, xi0, xi1, exact",
+        [
+            # B = [3], A = [0]: theta = (1 - xi)^-3 grows by 2^147
+            (Variant.UNBOUNDED, 0.5, 1 - 2.0**-50, lambda xi: (1 - xi) ** -3),
+            # A = B = [-1]: theta = (xi - 1) / xi shrinks by 2^-49
+            (Variant.BOUNDED, 2.0, 1 + 2.0**-50, lambda xi: (xi - 1) / xi),
+        ],
+        ids=["unbounded", "bounded"],
+    )
+    def test_n1_closed_form(self, variant, xi0, xi1, exact):
+        sys = _system(ETA_SLE2, 1, variant)
+        got = integrate_system(sys, xi0, np.array([exact(xi0)]), xi1)
+        np.testing.assert_allclose(got, [exact(xi1)], rtol=1e-10)
+
+    def test_zero_start_stays_zero(self):
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_system(sys, 0.5, np.zeros(2), 1 - 2.0**-10)
+        np.testing.assert_array_equal(got, np.zeros(2))
+
+    def test_huge_start_scales_linearly(self):
+        # the integrating factor's rate is taken on a scaled theta0, so it
+        # cannot overflow where theta0 itself does not
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        start = np.array([1.0, 0.5])
+        got = integrate_system(sys, 0.5, 1e160 * start, 0.9)
+        np.testing.assert_allclose(got, 1e160 * integrate_system(sys, 0.5, start, 0.9))
 
     def test_refuses_to_move_away_unbounded(self):
         # toward xi = 0 the solutions singular there swamp the analytic one
