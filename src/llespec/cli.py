@@ -239,8 +239,7 @@ def _cmd_fuchs(args) -> None:
     variant = Variant.parse(args.variant)
     n, eta = _resolve_system_size(args)
     system = FuchsianSystem(build_matrices(eta, n, variant))
-    ladder = GeometricLadder(j_min=args.j_min, j_max=args.j_max)
-    fit = blowup_exponent(system, ladder=ladder, k_terms=args.k_terms)
+    fit = blowup_exponent(system, GeometricLadder(args.j_min, args.j_max))
     payload = {
         "variant": variant.value,
         "n": n,
@@ -423,12 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=14,
         help="nearest ladder point |1 - xi| = 2^-j_max, at most 52; one "
         "integration in log-distance reaches it (default 14)",
-    )
-    p.add_argument(
-        "--k-terms",
-        type=int,
-        default=None,
-        help="series order at the ladder start (default 24 * 2^j_min)",
     )
     p.set_defaults(func=_cmd_fuchs)
 

@@ -10,15 +10,15 @@ A0 = B - A (bounded). The analytic solution is a power series in x about
 x = 0, normalized so the first component of c_0 equals 1. Approaching
 xi = 1 along a geometric ladder, the angular mean of rho grows like
 |1 - xi|^(-beta), which gives the third, spectrum-independent route to
-beta(2). The series is summed only at the ladder point farthest from xi = 1;
-one adaptive integration of the system (no singular point lies in between)
-carries theta from there to every nearer point. It runs in the log-distance
-t = -log2|1 - xi|, where the ladder points are the integers t = j and the
-distance 2^-t is never formed by cancellation, so the ladder reaches the
-double-precision limit j_max = 52. There theta grows like 2^(beta t); the
-integrator carries theta times the integrating factor e^(-r t), with r the
-Rayleigh quotient of the limit operator ln2 B at the start vector, so its
-steps do not have to follow that growth.
+beta(2). The series is summed only at x = 1/2, where it converges like
+2^-k, to an order set by its tail; one adaptive integration of the system
+(no singular point lies in between) carries theta from there to every
+ladder point. It runs in the log-distance t = -log2|1 - xi|, where the
+ladder points are the integers t = j and the distance 2^-t is never formed
+by cancellation, so the ladder reaches the double-precision limit
+j_max = 52. There theta grows like 2^(beta t); the integrator carries
+theta times an integrating factor e^(-r t) that takes most of that growth
+out.
 """
 
 from __future__ import annotations
@@ -280,18 +280,17 @@ class BlowupFit:
 
 
 def blowup_exponent(
-    sys: FuchsianSystem,
-    ladder: GeometricLadder | None = None,
-    k_terms: int | None = None,
+    sys: FuchsianSystem, ladder: GeometricLadder | None = None
 ) -> BlowupFit:
     """Fit the growth exponent of |angular mean| along the ladder.
 
-    theta is summed from the series (k_terms terms, default 24 * 2^j_min) at
-    the ladder point farthest from xi = 1 only, where the estimated series
-    tail must stay below 1e-6 relative to theta. One integration in the
-    log-distance t = -log2|1 - xi| then carries theta to every nearer ladder
-    point, which sits at an integer t = j; no distance is formed by
-    cancellation, so the ladder holds to the double-precision limit j_max = 52.
+    theta is summed from the series at x = 1/2 (xi = 1/2 or 2), with 64
+    terms doubled until the tail is below 2^-53 relative to theta; a tail
+    above 1e-6 at SERIES_TERM_LIMIT terms raises PrecisionError. One
+    integration in the log-distance t = -log2|1 - xi| then carries theta to
+    every ladder point, which sits at an integer t = j; no distance is
+    formed by cancellation, so the ladder holds to the double-precision
+    limit j_max = 52, and j_min costs no series terms.
 
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
@@ -299,25 +298,29 @@ def blowup_exponent(
     Aitken limit of the last three slopes.
     """
     ladder = ladder or GeometricLadder()
-    if k_terms is None:
-        k_terms = 24 * 2**ladder.j_min
-    series = series_solution(sys, k_terms)
-    points = ladder.points(sys.variant)
-    theta, tail = evaluate_theta_with_tail(series, points[0])
-    scale = float(np.max(np.abs(theta)))
-    if scale == 0.0 or not math.isfinite(scale):
-        raise NumericalError(f"series evaluation degenerate at xi={points[0]}")
+    unbounded = sys.variant is Variant.UNBOUNDED
+    sign, xi0, t0 = (-1.0, 0.5, 1.0) if unbounded else (1.0, 2.0, 0.0)
+    k_terms, tail, scale = 32, math.inf, 1.0  # the first pass takes 64 terms
+    while tail > 2.0**-53 * scale and k_terms < SERIES_TERM_LIMIT:
+        k_terms *= 2
+        series = series_solution(sys, k_terms)
+        theta, tail = evaluate_theta_with_tail(series, xi0)
+        scale = float(np.max(np.abs(theta)))
+        if scale == 0.0 or not math.isfinite(scale):
+            raise NumericalError(f"series evaluation degenerate at xi={xi0}")
     if tail / scale > _TAIL_GATE:
         raise PrecisionError(
-            f"series tail {tail / scale:.2e} exceeds {_TAIL_GATE:.0e} at the "
-            f"ladder start xi={points[0]}; raise k_terms"
+            f"series tail {tail / scale:.2e} > {_TAIL_GATE:.0e} at {k_terms} terms"
         )
-    sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
+    # c_k ~ k^(beta - 1) v, with v theta's direction at xi = 1, so the last
+    # nonzero c_k gives the integrating factor a rate near beta ln2; the rate
+    # at theta(1/2) is too far off and costs a deep ladder digits
+    c = series.coefficients[series.coefficients.any(axis=1)]
     js = range(ladder.j_min, ladder.j_max + 1)
-    nearer = _integrate_log_distance(sys, sign, (js[0], js[-1]), theta, t_eval=js[1:])
-    thetas = [theta, *nearer.T]
+    thetas = _integrate_log_distance(sys, sign, (t0, js[-1]), theta, c[-1], js)
+    points = ladder.points(sys.variant)
     xs = [_local_argument(sys.variant, xi) for xi in points]
-    g = np.array([_angular_mean(th, x) for th, x in zip(thetas, xs)])
+    g = np.array([_angular_mean(th, x) for th, x in zip(thetas.T, xs)])
     oscillation = bool(np.any(g[:-1] * g[1:] < 0))
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
@@ -358,6 +361,9 @@ def integrate_system(
     dominant growth or decay toward xi = 1 (see _integrate_log_distance),
     so a solution that decays along the path keeps its relative accuracy.
     """
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (sys.n,) or not np.all(np.isfinite(theta0)):
+        raise DomainError(f"theta0 must be a finite vector of length {sys.n}")
     if xi0 <= 0 or xi1 <= 0:
         raise DomainError("integration requires positive xi")
     for x in (xi0, xi1):
@@ -372,7 +378,7 @@ def integrate_system(
         )
     sign = 1.0 if xi0 > 1.0 else -1.0
     t_span = tuple(-math.log2(abs(1.0 - x)) for x in (xi0, xi1))
-    return _integrate_log_distance(sys, sign, t_span, theta0)[:, -1]
+    return _integrate_log_distance(sys, sign, t_span, theta0, theta0)[:, -1]
 
 
 def _integrate_log_distance(
@@ -380,6 +386,7 @@ def _integrate_log_distance(
     sign: float,
     t_span: tuple[float, float],
     theta0: np.ndarray,
+    direction: np.ndarray,
     t_eval=None,
 ) -> np.ndarray:
     """theta carried over t_span on the side xi = 1 + sign * 2^-t of the
@@ -391,21 +398,20 @@ def _integrate_log_distance(
 
     As d -> 0 the operator tends to ln2 B, so theta grows or decays like
     2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
-    r = theta0' (ln2 B) theta0 / theta0' theta0 (0 for a zero theta0), the
-    Rayleigh quotient of ln2 B at the start vector. The change of variables
-    is exact: phi' = rhs(phi) - r phi, and each returned column is scaled
-    back by e^(r (t - t0)). With the dominant growth taken out the steps
-    follow only what is left of it, and a decaying solution is not lost to
-    the fixed atol.
+    r = u' (ln2 B) u / u' u (0 for a zero u), the Rayleigh quotient of
+    ln2 B at u = direction. The change of variables is exact:
+    phi' = rhs(phi) - r phi, and each returned column is scaled back by
+    e^(r (t - t0)). The steps follow only the growth left in phi, the less
+    the nearer u is to theta's direction as xi -> 1, and a decaying solution
+    is not lost to the fixed atol.
     """
     import scipy.integrate  # only user in the package; kept off the import path
 
     ln2_a = math.log(2.0) * sys.matrices.a_dense()
     ln2_b = math.log(2.0) * sys.matrices.b_dense()
-    theta0 = np.asarray(theta0, dtype=float)
     scale = float(np.max(np.abs(theta0))) or 1.0
-    # the quotient is taken on theta0 / scale, so its sums cannot overflow
-    u = theta0 / scale
+    # the quotient is taken on u / max|u|, so its sums cannot overflow
+    u = direction / (float(np.max(np.abs(direction))) or 1.0)
     norm2 = float(u @ u)
     r = float(u @ ln2_b @ u) / norm2 if norm2 else 0.0
 

@@ -110,18 +110,6 @@ class TestValidationExits:
         assert code == 2
         assert b"kappa" in err
 
-    def test_precision_failure_is_exit_3(self, capsys):
-        code = main(["fuchs", "--kappa", "2", "--n", "2", "--k-terms", "50"])
-        capsys.readouterr()
-        assert code == 3
-
-    def test_oversized_series_is_exit_4(self, capsys):
-        oversized = (["--j-min", "30", "--j-max", "31"], ["--k-terms", "1000000000000"])
-        for extra in oversized:
-            code = main(["fuchs", "--kappa", "2", "--n", "2", *extra])
-            capsys.readouterr()
-            assert code == 4
-
     def test_ladder_beyond_double_precision_is_exit_2(self, capsys):
         code = main(["fuchs", "--kappa", "2", "--n", "2", "--j-max", "60"])
         assert code == 2
@@ -352,6 +340,17 @@ class TestFuchsCommand:
         )
         assert code == 0
         assert abs(json.loads(text)["beta_est"] - 4.0) < 1e-9
+
+    @pytest.mark.parametrize("j_min, j_max", [(16, 24), (30, 31)])
+    def test_far_ladder_start(self, capsys, j_min, j_max):
+        # the series is summed at x = 1/2, so --j-min costs no series terms
+        code, text = run_main(
+            capsys,
+            "fuchs", "--kappa", "2", "--n", "2",
+            "--j-min", str(j_min), "--j-max", str(j_max), "--json",
+        )
+        assert code == 0
+        assert abs(json.loads(text)["beta_est"] - 4.0) < 1e-8
 
 
 class TestPerturbationCommand:

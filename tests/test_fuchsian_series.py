@@ -12,7 +12,6 @@ from llespec import (
     FuchsianSystem,
     GeometricLadder,
     LevyDriver,
-    PrecisionError,
     ValidationError,
     Variant,
     analytic_null_vector,
@@ -332,9 +331,12 @@ class TestBlowup:
         fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, 34))
         assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-10
 
-    def test_insufficient_terms_raises(self):
-        with pytest.raises(PrecisionError, match="k_terms|integrate_system"):
-            blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED), k_terms=50)
+    def test_far_ladder_start_matches_eigenvalue(self):
+        # the series is summed at x = 1/2 whatever the ladder, so a ladder
+        # starting at 2^-20 from xi = 1 costs no extra series terms
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        fit = blowup_exponent(sys, ladder=GeometricLadder(20, 30))
+        assert abs(fit.beta_est - eigen_spectrum(sys.matrices).max_real) < 1e-8
 
     def test_slopes_and_residual_reported(self):
         lad = GeometricLadder(j_min=4, j_max=9)
@@ -400,6 +402,19 @@ class TestIntegration:
         start = evaluate_theta(series_solution(sys, 2000), 1.5)
         with pytest.raises(DomainError, match="away from xi = 1"):
             integrate_system(sys, 1.5, start, 1e6)
+
+    @pytest.mark.parametrize(
+        "theta0",
+        [[np.nan, 1.0], [np.inf, 1.0], [1.0], [1.0, 1.0, 1.0]],
+        ids=["nan", "inf", "short", "long"],
+    )
+    def test_rejects_bad_start(self, theta0):
+        # refused before scipy sees it, with no RuntimeWarning on the way
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="theta0"):
+                integrate_system(sys, 0.5, np.array(theta0), 0.9)
 
     def test_cannot_cross_singularity(self):
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
