@@ -21,7 +21,7 @@ from llespec import (
     build_matrices,
     eigen_spectrum,
     eta_sequence,
-    max_real_root,
+    max_real_root_detailed,
     recurrence_coefficients,
 )
 
@@ -38,7 +38,9 @@ def main():
         m = build_matrices(eta, n, variant)
 
         by_eigen = eigen_spectrum(m).max_real
-        by_root = max_real_root(recurrence_coefficients(eta, n, variant))
+        by_root = max_real_root_detailed(
+            recurrence_coefficients(eta, n, variant)
+        ).value
 
         t0 = time.perf_counter()
         fit = blowup_exponent(FuchsianSystem(m))

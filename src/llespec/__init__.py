@@ -12,8 +12,6 @@ from .closed_forms import (
     HypergeometricParams,
     Theorem1Values,
     beta2_unbounded_n2,
-    eta1_from_beta,
-    gamma,
     gauss_2f1,
     gauss_at_one,
     perturbed_n6_driver,
@@ -43,7 +41,6 @@ from .fuchsian_series import (
     angular_mean_rho,
     blowup_exponent,
     evaluate_theta,
-    evaluate_theta_derivative,
     evaluate_theta_with_tail,
     integrate_system,
     series_solution,
@@ -58,7 +55,6 @@ from .levy_driver import (
 )
 from .loewner_system import (
     CharPolyRecurrence,
-    CharPolyValue,
     LoewnerMatrices,
     Variant,
     build_matrices,
@@ -72,10 +68,8 @@ from .spectral_solver import (
     MaxRealRoot,
     SpectrumResult,
     beta2,
-    classify_regime,
     descartes_positive_count,
     eigen_spectrum,
-    max_real_root,
     max_real_root_detailed,
 )
 
@@ -87,7 +81,6 @@ __all__ = [
     "BlowupFit",
     "CapacityError",
     "CharPolyRecurrence",
-    "CharPolyValue",
     "DegeneracyError",
     "DomainError",
     "EtaSequence",
@@ -117,21 +110,16 @@ __all__ = [
     "build_matrices",
     "charpoly_coefficients",
     "charpoly_eval",
-    "classify_regime",
     "descartes_positive_count",
     "driver_from_dict",
     "eigen_spectrum",
-    "eta1_from_beta",
     "eta_from_json_file",
     "eta_sequence",
     "evaluate_theta",
-    "evaluate_theta_derivative",
     "evaluate_theta_with_tail",
-    "gamma",
     "gauss_2f1",
     "gauss_at_one",
     "integrate_system",
-    "max_real_root",
     "max_real_root_detailed",
     "perturbed_n6_driver",
     "perturbed_n6_pairs",

@@ -93,8 +93,13 @@ def _emit(args, payload: dict, rows: list[dict]) -> None:
     else:
         text = _render_human(payload, rows)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write output file {args.out}: {exc}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -307,8 +312,6 @@ def _cmd_ple_curve(args) -> None:
 
 
 def _cmd_sle_converge(args) -> None:
-    if args.kappa is None:
-        raise ValidationError("sle-converge requires --kappa")
     if args.m_max < 2:
         raise ValidationError(f"--m-max must be >= 2, got {args.m_max}")
     variant = Variant.parse(args.variant)

@@ -2,9 +2,10 @@
 unbounded system and its beta(2) formula, truncated-SLE spectra for both
 variants, and the perturbed-N=6 complex-pair asymptotics.
 
-Everything here is an oracle for the matrix/series machinery. The special
-functions (Gamma, Gauss 2F1) come from `math` and `scipy.special`; a raw
-partial sum of the 2F1 series stays as an independent reference for them.
+Everything here is an oracle for the matrix/series machinery. Gauss 2F1
+and its value at xi = 1 (a ratio of Gamma functions, formed in log-Gamma)
+come from `scipy.special`; a raw partial sum of the 2F1 series stays as an
+independent reference for them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "Theorem1Values",
     "BETA_SUP",
     "beta2_unbounded_n2",
-    "eta1_from_beta",
-    "gamma",
     "gauss_2f1",
     "gauss_at_one",
     "theorem1_solution",
@@ -47,19 +46,6 @@ _SERIES_TOL = 1e-14
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == round(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma function (math.gamma), with non-finite arguments and poles
-    rejected; a value beyond the double range raises PrecisionError."""
-    if not math.isfinite(x):
-        raise DomainError(f"gamma needs a finite argument, got {x}")
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at {x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise PrecisionError(f"gamma({x}) overflows a double") from None
 
 
 def beta2_unbounded_n2(eta1: float) -> float:
@@ -78,17 +64,6 @@ def beta2_unbounded_n2(eta1: float) -> float:
             stacklevel=2,
         )
     return (6.0 - eta1 + math.sqrt(eta1 * eta1 - 4.0 * eta1 + 12.0)) / 2.0
-
-
-def eta1_from_beta(beta: float) -> float:
-    """Inverse reparametrization eta_1 = (beta^2 - 6 beta + 6) / (2 - beta)
-    on 2 < beta <= 3 + sqrt(3)."""
-    if not 2.0 < beta <= BETA_SUP:
-        raise DomainError(f"beta must lie in (2, 3+sqrt(3)], got {beta}")
-    eta1 = (beta * beta - 6.0 * beta + 6.0) / (2.0 - beta)
-    if eta1 < 0.0:
-        eta1 = 0.0  # roundoff at the beta = 3+sqrt(3) endpoint
-    return eta1
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "series_solution",
     "evaluate_theta",
     "evaluate_theta_with_tail",
-    "evaluate_theta_derivative",
     "angular_mean_rho",
     "blowup_exponent",
     "integrate_system",
@@ -207,18 +206,6 @@ def evaluate_theta_with_tail(
 
 def evaluate_theta(series: ThetaSeries, xi: float) -> np.ndarray:
     return evaluate_theta_with_tail(series, xi)[0]
-
-
-def evaluate_theta_derivative(series: ThetaSeries, xi: float) -> np.ndarray:
-    """d theta / d xi at xi, from the term-by-term derivative."""
-    x = _local_argument(series.variant, xi)
-    c = series.coefficients
-    k = np.arange(series.order + 1)
-    inner = c.T @ (k * x ** np.maximum(k - 1, 0) * (k > 0))
-    if series.variant is Variant.UNBOUNDED:
-        return inner
-    # theta = sum c_k xi^{-k}: d/dxi = -(1/xi^2) * sum k c_k x^{k-1}
-    return -inner / (xi * xi)
 
 
 def angular_mean_rho(series: ThetaSeries, xi: float) -> float:

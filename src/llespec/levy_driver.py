@@ -86,14 +86,6 @@ class EtaSequence:
     def n_max(self) -> int:
         return len(self.values)
 
-    def value(self, n: int) -> float:
-        """eta_n for 0 <= n <= n_max (eta_0 = 0)."""
-        if n == 0:
-            return 0.0
-        if not 1 <= n <= len(self.values):
-            raise ValidationError(f"eta_{n} not covered (n_max={len(self.values)})")
-        return self.values[n - 1]
-
 
 def eta_sequence(driver: LevyDriver, n_max: int) -> EtaSequence:
     """Exponent sequence eta_1..eta_{n_max} of a driver."""

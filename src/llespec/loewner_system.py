@@ -30,7 +30,6 @@ __all__ = [
     "Variant",
     "LoewnerMatrices",
     "CharPolyRecurrence",
-    "CharPolyValue",
     "build_matrices",
     "recurrence_coefficients",
     "charpoly_eval",
@@ -179,65 +178,17 @@ def recurrence_coefficients(
     return CharPolyRecurrence(variant=variant, a=a, b=b)
 
 
-@dataclass(frozen=True)
-class CharPolyValue:
-    """P_N(beta) as mantissa * exp(log_scale), sign carried by the mantissa.
-
-    log_scale stays 0.0 until the recurrence pair leaves [1e-150, 1e150], so
-    small-N values are exact floats.
-    """
-
-    mantissa: complex
-    log_scale: float = 0.0
-
-    @property
-    def sign(self) -> int:
-        re = self.mantissa.real
-        return 0 if re == 0 else (1 if re > 0 else -1)
-
-    @property
-    def value(self):
-        """Plain number; overflows to inf for extreme log_scale."""
-        if self.log_scale == 0.0:
-            out = self.mantissa
-        else:
-            try:
-                out = self.mantissa * math.exp(self.log_scale)
-            except OverflowError:
-                out = self.mantissa * math.inf
-        if isinstance(out, complex) and out.imag == 0:
-            return out.real
-        return out
-
-    def __float__(self) -> float:
-        v = self.value
-        if isinstance(v, complex):
-            raise TypeError("complex characteristic-polynomial value")
-        return float(v)
-
-    @property
-    def log_abs(self) -> float:
-        """log |P_N(beta)|; -inf for an exact zero."""
-        m = abs(self.mantissa)
-        return -math.inf if m == 0 else math.log(m) + self.log_scale
-
-
 def _needs_rescale(m: float) -> bool:
     """True when the largest magnitude m of a recurrence's running values has
     left [1e-150, 1e150] (an exact zero never needs it)."""
     return m > _RESCALE_HI or 0.0 < m < _RESCALE_LO
 
 
-def charpoly_eval(rec: CharPolyRecurrence, beta) -> CharPolyValue:
-    """Evaluate P_N at beta (real or complex) by the forward recurrence."""
-    p, _, log_scale = _charpoly_pass(rec, beta)
-    return CharPolyValue(complex(p), log_scale)
-
-
-def _charpoly_pass(rec: CharPolyRecurrence, x) -> tuple:
-    """P_N(x) and P_N'(x) from one forward pass, both times the same positive
-    factor (the lazy rescaling's), so their ratio is the Newton step; and the
-    log of the factor divided out, so P_N(x) = p exp(log_scale).
+def charpoly_eval(rec: CharPolyRecurrence, x) -> tuple:
+    """(p, dp, log_scale) from one forward pass at x (real or complex), with
+    P_N(x) = p e^log_scale and P_N'(x) = dp e^log_scale; p / dp is the Newton
+    step. log_scale stays 0.0 until the recurrence pair leaves
+    [1e-150, 1e150], so small-N values are exact.
 
     P_{k+1}' = (x - b_k) P_k' + P_k - a_k P_{k-1}', differentiated from the
     recurrence itself.
@@ -266,7 +217,7 @@ def _charpoly_pass(rec: CharPolyRecurrence, x) -> tuple:
 
 def _rescale_pair(prev: np.ndarray, cur: np.ndarray) -> None:
     """Lazy rescaling of a vector recurrence pair, in place, by a power of
-    two, so that it rounds nothing. As in _charpoly_pass, the newer
+    two, so that it rounds nothing. As in charpoly_eval, the newer
     vector is tested first and the pair decides the scale."""
     m = float(np.abs(cur).max())
     if not _RESCALE_LO <= m <= _RESCALE_HI:

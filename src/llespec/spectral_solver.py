@@ -30,23 +30,19 @@ from .loewner_system import (
     CharPolyRecurrence,
     LoewnerMatrices,
     Variant,
-    _charpoly_pass,
     _charpoly_taylor,
     build_matrices,
-    charpoly_eval,  # unused here; bench/spans.py traces this module's name
+    charpoly_eval,
     truncation_order,
 )
 
 __all__ = [
     "SpectrumResult",
     "Beta2Report",
-    "CLUSTER_TOL",
     "eigen_spectrum",
-    "max_real_root",
     "max_real_root_detailed",
     "MaxRealRoot",
     "descartes_positive_count",
-    "classify_regime",
     "beta2",
 ]
 
@@ -231,7 +227,8 @@ def _eig_fallback(rec: CharPolyRecurrence) -> float:
 
 def _newton_from_above(rec: CharPolyRecurrence, hi: float) -> float:
     """Newton's method on P_N from just above hi, an upper bound on its real
-    roots, until |step| stops shrinking or falls to a few ulps.
+    roots, until |step| stops shrinking or falls to a few ulps. Each step is
+    one charpoly_eval pass, which gives P_N and P_N' together.
 
     Steps are doubled until P_N turns negative or the step stops shrinking:
     when every root is real, a double step from above the top root never
@@ -242,7 +239,7 @@ def _newton_from_above(rec: CharPolyRecurrence, hi: float) -> float:
     factor = 2.0
     last = math.inf
     for _ in range(_NEWTON_MAX_STEPS):
-        p, dp, _ = _charpoly_pass(rec, x)
+        p, dp, _ = charpoly_eval(rec, x)
         if dp == 0.0:
             break
         if factor == 2.0 and (p < 0.0 or not abs(2.0 * p / dp) < last):
@@ -314,10 +311,6 @@ def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
     return MaxRealRoot(value=x if agree else eig, used_fallback=True)
 
 
-def max_real_root(rec: CharPolyRecurrence) -> float:
-    return max_real_root_detailed(rec).value
-
-
 def descartes_positive_count(coeffs) -> int:
     """Sign changes in the coefficient sequence, zeros skipped.
 
@@ -332,12 +325,6 @@ def descartes_positive_count(coeffs) -> int:
         if (prev > 0) != (cur > 0):
             changes += 1
     return changes
-
-
-def classify_regime(rec: CharPolyRecurrence) -> bool:
-    """True iff every a_n is positive (orthogonal regime: the recurrence has
-    a nonnegative orthogonality measure and the spectrum is real)."""
-    return all(a > 0 for a in rec.a)
 
 
 @dataclass(frozen=True)

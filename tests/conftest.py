@@ -1,10 +1,11 @@
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from llespec import LevyDriver
+from llespec import LevyDriver, charpoly_eval
 
 # subprocesses started by the tests import llespec from this checkout too
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -25,6 +26,13 @@ def random_driver(rng: np.random.Generator) -> LevyDriver:
     if kappa == 0.0 and uniform_rate == 0.0 and not atoms:
         uniform_rate = 1.0
     return LevyDriver(kappa=kappa, uniform_rate=uniform_rate, atoms=atoms)
+
+
+def charpoly_log_abs(rec, x) -> float:
+    """log |P_N(x)| from charpoly_eval's mantissa and scale; -inf at an
+    exact zero."""
+    p, _, log_scale = charpoly_eval(rec, x)
+    return -math.inf if p == 0 else math.log(abs(p)) + log_scale
 
 
 @pytest.fixture

@@ -83,6 +83,10 @@ class TestValidationExits:
         code, _, err = run_cli("beta2")
         assert code == 2
         assert b"eta source" in err
+        # sle-converge takes only --kappa; argparse requires it
+        code, _, err = run_cli("sle-converge")
+        assert code == 2
+        assert b"--kappa" in err
 
     def test_both_sources(self, tmp_path):
         f = tmp_path / "eta.json"
@@ -100,6 +104,15 @@ class TestValidationExits:
             "eta", "--kappa", "1", "--out", str(tmp_path / "x.txt")
         )
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        code = main(["eta", "--kappa", "1", "--json", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file")
+        assert str(out) in err
 
     def test_json_and_csv_conflict(self):
         code, _, _ = run_cli("eta", "--kappa", "1", "--json", "--csv")

@@ -11,18 +11,14 @@ from llespec import (
     GeometricLadder,
     HypergeometricParams,
     LevyDriver,
-    LLESpecError,
     PoleError,
-    PrecisionError,
     RealizabilityWarning,
     SizeError,
     Variant,
     beta2_unbounded_n2,
     build_matrices,
-    eta1_from_beta,
     eta_sequence,
     evaluate_theta,
-    gamma,
     gauss_2f1,
     gauss_at_one,
     perturbed_n6_driver,
@@ -61,57 +57,6 @@ class TestBeta2ClosedForm:
             assert beta2_unbounded_n2(float(eta1)) == pytest.approx(
                 eigen_spectrum(m).max_real, abs=1e-12
             )
-
-    def test_inverse_round_trip(self, rng):
-        for beta in rng.uniform(2.05, BETA_SUP, size=50):
-            eta1 = eta1_from_beta(float(beta))
-            assert beta2_unbounded_n2(eta1) == pytest.approx(
-                float(beta), abs=1e-12
-            )
-
-    def test_inverse_examples_and_domain(self):
-        assert eta1_from_beta(4.0) == pytest.approx(1.0, abs=1e-14)
-        assert eta1_from_beta(3.0) == pytest.approx(3.0, abs=1e-14)
-        for bad in (2.0, 1.5, BETA_SUP + 1e-9):
-            with pytest.raises(DomainError):
-                eta1_from_beta(bad)
-
-
-class TestGamma:
-    def test_matches_stdlib(self, rng):
-        for x in rng.uniform(0.01, 30.0, size=200):
-            assert gamma(float(x)) == pytest.approx(
-                math.gamma(float(x)), rel=1e-12
-            )
-
-    def test_factorials(self):
-        for n in range(1, 15):
-            assert gamma(n) == pytest.approx(math.factorial(n - 1), rel=1e-13)
-
-    def test_half_integer(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        assert gamma(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-12)
-
-    def test_poles(self):
-        for bad in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError):
-                gamma(bad)
-
-    def test_overflow_is_a_library_error(self):
-        # math.gamma raises a bare OverflowError past ~171.6 and near 0
-        for x in (200.0, 171.7, 1e-320, -1e-320):
-            with pytest.raises(PrecisionError, match="overflows"):
-                gamma(x)
-        with pytest.raises(LLESpecError):
-            gamma(200.0)
-        assert gamma(-200.5) == 0.0  # underflow stays a value
-
-    def test_reflection_region(self, rng):
-        for x in rng.uniform(-10.0, -0.1, size=50):
-            x = float(x)
-            if abs(x - round(x)) < 1e-3:
-                continue
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-11)
 
 
 class TestGauss2F1:

@@ -38,11 +38,6 @@ class TestEtaSequence:
         )
         assert eta.values[5] == 8.0
 
-    def test_eta_zero_is_zero(self):
-        eta = eta_sequence(LevyDriver(kappa=1.0), 3)
-        assert eta.value(0) == 0.0
-        assert eta.value(2) == 2.0
-
     def test_superquadratic_lower_bound_and_ratio(self, rng):
         for _ in range(200):
             d = random_driver(rng)

@@ -21,11 +21,10 @@ from llespec import (
 from llespec.fuchsian_series import _local_bands
 from llespec.loewner_system import (
     CharPolyRecurrence,
-    _charpoly_pass,
     _charpoly_taylor,
 )
 from llespec.spectral_solver import _gershgorin_bounds
-from tests.conftest import random_driver
+from tests.conftest import charpoly_log_abs, random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)  # eta_n = n^2
 ETA_PLE1 = eta_sequence(LevyDriver(uniform_rate=1.0), 8)  # eta_n = 1
@@ -118,16 +117,18 @@ class TestRecurrence:
 class TestCharPolyEval:
     def test_unbounded_p2_at_zero(self):
         rec = recurrence_coefficients(ETA_SLE2, 2, Variant.UNBOUNDED)
-        assert charpoly_eval(rec, 0.0).value == 4.0
+        # P_2 = (beta - 4)(beta - 1), P_2' = 2 beta - 5; exact, unscaled
+        assert charpoly_eval(rec, 0.0) == (4.0, -5.0, 0.0)
 
     def test_bounded_p3_at_zero(self):
         rec = recurrence_coefficients(ETA_PLE1, 3, Variant.BOUNDED)
-        assert charpoly_eval(rec, 0.0).value == -1.0
+        # P_3 = beta^3 + 5 beta^2 + 5 beta - 1
+        assert charpoly_eval(rec, 0.0) == (-1.0, 5.0, 0.0)
 
     def test_empty_recurrence_is_one(self):
         rec = recurrence_coefficients(ETA_SLE2, 1, Variant.UNBOUNDED)
         empty = type(rec)(variant=rec.variant, a=(), b=())
-        assert charpoly_eval(empty, 5.0).value == 1.0
+        assert charpoly_eval(empty, 5.0) == (1.0, 0.0, 0.0)
 
     def test_matches_determinant_small(self, rng):
         for variant in Variant:
@@ -140,10 +141,9 @@ class TestCharPolyEval:
                     want = np.linalg.det(
                         beta * np.eye(n) - m.b_dense()
                     )
-                    got = charpoly_eval(rec, float(beta))
-                    assert got.value == pytest.approx(
-                        want, rel=1e-10, abs=1e-8
-                    )
+                    p, _, log_scale = charpoly_eval(rec, float(beta))
+                    assert log_scale == 0.0
+                    assert p == pytest.approx(want, rel=1e-10, abs=1e-8)
 
     def test_matches_slogdet_large(self, rng):
         # N = 300: value overflows doubles, carrier tracks sign and log
@@ -153,16 +153,18 @@ class TestCharPolyEval:
         rec = recurrence_coefficients(eta, n, Variant.UNBOUNDED)
         for beta in (11.0, -4.0):
             sign, logabs = np.linalg.slogdet(beta * np.eye(n) - m.b_dense())
-            got = charpoly_eval(rec, beta)
-            assert got.sign == sign
-            assert got.log_abs == pytest.approx(logabs, rel=1e-12)
-            assert got.log_scale != 0.0
+            p, _, log_scale = charpoly_eval(rec, beta)
+            assert np.sign(p) == sign
+            assert charpoly_log_abs(rec, beta) == pytest.approx(logabs, rel=1e-12)
+            assert log_scale != 0.0
 
     def test_complex_argument(self):
         rec = recurrence_coefficients(ETA_SLE2, 2, Variant.UNBOUNDED)
-        z = charpoly_eval(rec, 1.0 + 1.0j).value
-        # (beta - 4)(beta - 1) at 1 + i
+        z, dz, log_scale = charpoly_eval(rec, 1.0 + 1.0j)
+        # (beta - 4)(beta - 1) and its derivative 2 beta - 5 at 1 + i
         assert z == pytest.approx((1 + 1j - 4) * (1 + 1j - 1), rel=1e-15)
+        assert dz == pytest.approx(2 * (1 + 1j) - 5, rel=1e-15)
+        assert log_scale == 0.0
 
 
 def _exact_system(rng, n, variant):
@@ -182,7 +184,7 @@ class TestNewtonPair:
                     xf = Fraction(float(x))
                     p = sum(c * xf**k for k, c in enumerate(coeffs))
                     dp = sum(k * c * xf ** (k - 1) for k, c in enumerate(coeffs) if k)
-                    got_p, got_dp, _ = _charpoly_pass(rec, float(x))
+                    got_p, got_dp, _ = charpoly_eval(rec, float(x))
                     if dp != 0:
                         assert got_p / got_dp == pytest.approx(
                             float(p / dp), rel=1e-10, abs=1e-12
@@ -192,11 +194,10 @@ class TestNewtonPair:
         # P_300(11) overflows doubles; the ratio P/P' stays exact in form
         eta = eta_sequence(LevyDriver(kappa=1.0, uniform_rate=2.0), 300)
         rec = recurrence_coefficients(eta, 300, Variant.UNBOUNDED)
-        p, dp, _ = _charpoly_pass(rec, 11.0)
+        p, dp, _ = charpoly_eval(rec, 11.0)
         h = 1e-6
-        slope = (
-            charpoly_eval(rec, 11.0 + h).log_abs - charpoly_eval(rec, 11.0 - h).log_abs
-        ) / (2 * h)
+        up, down = charpoly_log_abs(rec, 11.0 + h), charpoly_log_abs(rec, 11.0 - h)
+        slope = (up - down) / (2 * h)
         assert np.isfinite(p) and np.isfinite(dp)
         assert dp / p == pytest.approx(slope, rel=1e-6)
 
@@ -250,7 +251,9 @@ class TestCharPolyCoefficients:
         assert all(type(c) is float for c in coeffs)
         # still the right polynomial: compare against eval at a point
         val = sum(c * 2.0**k for k, c in enumerate(coeffs))
-        assert val == pytest.approx(charpoly_eval(rec, 2.0).value, rel=1e-12)
+        p, _, log_scale = charpoly_eval(rec, 2.0)
+        assert log_scale == 0.0
+        assert val == pytest.approx(p, rel=1e-12)
 
     def test_capacity_limit(self):
         eta = eta_sequence(LevyDriver(kappa=1.0), 600)

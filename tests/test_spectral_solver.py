@@ -12,18 +12,16 @@ from llespec import (
     Variant,
     beta2,
     build_matrices,
-    classify_regime,
     descartes_positive_count,
     eigen_spectrum,
     eta_sequence,
-    max_real_root,
     max_real_root_detailed,
     perturbed_n6_driver,
     recurrence_coefficients,
     validate_eta,
 )
 from llespec.cli import main
-from llespec.loewner_system import CharPolyRecurrence, _charpoly_pass
+from llespec.loewner_system import CharPolyRecurrence, charpoly_eval
 from llespec.spectral_solver import (
     DENSE_EIGEN_LIMIT,
     _certified_top_root,
@@ -39,11 +37,6 @@ from tests.conftest import random_driver
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
 ETA_PLE1 = eta_sequence(LevyDriver(uniform_rate=1.0), 8)
 ETA_SLE_N6 = eta_sequence(LevyDriver(kappa=2.0 * 8 / 36), 8)  # kappa_6 = 4/9
-
-
-def _charpoly_newton_pair(rec, x):
-    """P_N(x) and P_N'(x), both times the pass's rescaling factor."""
-    return _charpoly_pass(rec, x)[:2]
 
 
 def _cluster_all_pairs(eigs, tol):
@@ -194,16 +187,16 @@ class TestMaxRealRoot:
 
     def test_unbounded_truncation(self):
         rec = recurrence_coefficients(ETA_SLE2, 2, Variant.UNBOUNDED)
-        assert max_real_root(rec) == pytest.approx(4.0, abs=1e-11)
+        assert max_real_root_detailed(rec).value == pytest.approx(4.0, abs=1e-11)
 
     def test_n1_is_diagonal(self):
         rec = recurrence_coefficients(ETA_SLE2, 1, Variant.UNBOUNDED)
-        assert max_real_root(rec) == 3.0
+        assert max_real_root_detailed(rec).value == 3.0
 
     def test_n0_raises(self):
         rec = CharPolyRecurrence(variant=Variant.UNBOUNDED, a=(), b=())
         with pytest.raises(SizeError):
-            max_real_root(rec)
+            max_real_root_detailed(rec)
 
     def test_even_multiplicity_falls_back(self):
         # (beta - 1)^2 has no sign change; the eigenvalue route takes over
@@ -217,7 +210,8 @@ class TestMaxRealRoot:
             for _ in range(25):
                 eta = eta_sequence(random_driver(rng), 8)
                 n = int(rng.integers(2, 9))
-                root = max_real_root(recurrence_coefficients(eta, n, variant))
+                rec = recurrence_coefficients(eta, n, variant)
+                root = max_real_root_detailed(rec).value
                 eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
                 assert root == pytest.approx(eig, abs=1e-8)
 
@@ -274,7 +268,7 @@ class TestCertifiedRoute2:
             for below in real[1:3]:  # the second- and third-highest
                 y = below
                 for _ in range(8):
-                    p, dp = _charpoly_newton_pair(rec, y)
+                    p, dp, _ = charpoly_eval(rec, y)
                     y -= p / dp
                 if abs(y - top) > 1e-6 * max(1.0, abs(top)):
                     tried += 1
@@ -339,23 +333,6 @@ class TestDescartes:
             rec = recurrence_coefficients(eta, 5, Variant.BOUNDED)
             coeffs = [float(c) for c in charpoly_coefficients(rec)]
             assert descartes_positive_count(coeffs) == 1
-
-
-class TestClassifyRegime:
-    def test_symmetric_cases(self):
-        assert classify_regime(
-            recurrence_coefficients(ETA_SLE2, 2, Variant.UNBOUNDED)
-        )
-        assert classify_regime(
-            recurrence_coefficients(ETA_PLE1, 3, Variant.BOUNDED)
-        )
-
-    def test_asymmetric_case(self):
-        # eta_2 = 2 < 4 makes a_2 < 0
-        eta = eta_sequence(LevyDriver(kappa=1.0), 6)
-        assert not classify_regime(
-            recurrence_coefficients(eta, 6, Variant.UNBOUNDED)
-        )
 
 
 class TestBeta2:
