@@ -167,26 +167,14 @@ def _cmd_eta(args) -> None:
     _emit(args, payload, rows)
 
 
-def _eigenvalue_rows(spec) -> list[dict]:
-    rows = []
-    for i, z in enumerate(spec.eigenvalues):
-        mult = 1
-        best = math.inf
-        for center, m in spec.clusters:
-            d = abs(z - center)
-            if d < best:
-                best, mult = d, m
-        rows.append(
-            {"index": i, "re": z.real, "im": z.imag, "multiplicity": mult}
-        )
-    return rows
-
-
 def _cmd_spectrum(args) -> None:
     variant = Variant.parse(args.variant)
     n, eta = _resolve_system_size(args)
     spec = eigen_spectrum(build_matrices(eta, n, variant))
-    rows = _eigenvalue_rows(spec)
+    rows = [
+        {"index": i, "re": z.real, "im": z.imag, "multiplicity": m}
+        for i, (z, m) in enumerate(zip(spec.eigenvalues, spec.multiplicities))
+    ]
     payload = {
         "variant": variant.value,
         "n": n,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -62,14 +62,9 @@ class LevyDriver:
 
 @dataclass(frozen=True)
 class EtaSequence:
-    """Exponents eta_1..eta_{n_max}; eta_0 = 0 is implicit.
-
-    formal=True marks sequences supplied directly by the user, with no claim
-    that some driver realizes them.
-    """
+    """Exponents eta_1..eta_{n_max}; eta_0 = 0 is implicit."""
 
     values: tuple[float, ...]
-    formal: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -102,7 +97,7 @@ def eta_sequence(driver: LevyDriver, n_max: int) -> EtaSequence:
 
 def validate_eta(values) -> EtaSequence:
     """Wrap user-supplied exponents; accepts any nonnegative finite values."""
-    return EtaSequence(tuple(float(v) for v in values), formal=True)
+    return EtaSequence(tuple(float(v) for v in values))
 
 
 def driver_from_dict(d: dict) -> LevyDriver:

@@ -65,23 +65,37 @@ class SpectrumResult:
     ascending). clusters groups eigenvalues by single linkage: two belong to
     one cluster when a chain of eigenvalues joins them with every step at
     most 2*CLUSTER_TOL, so a cluster may span more than 2*CLUSTER_TOL.
-    Each is reported as (mean, multiplicity). resonant means two cluster
-    centers on the real axis differ by a nonzero integer within tolerance.
+    Each is reported as (mean, multiplicity); multiplicities[i] is that of
+    eigenvalues[i]'s cluster. resonant means two cluster centers, real or
+    complex, differ by a nonzero integer within tolerance (log terms at xi=1).
     """
 
     eigenvalues: tuple[complex, ...]
     max_real: float
     n_nonneg_real: int
     clusters: tuple[tuple[complex, int], ...]
+    multiplicities: tuple[int, ...]
     resonant: bool
     all_real: bool
 
 
-def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
-    # single-linkage union-find: join every pair within 2*tol; a chain of
-    # such steps merges without a bound on the cluster's span. A pair that
-    # close is at most 2*tol apart in real part, so a sweep in real order
-    # meets every such pair.
+def _near_pairs(keys: np.ndarray, w: float):
+    """Index arrays (i, j), one per shift of the sorted keys, over every pair
+    with keys[i] <= keys[j] <= keys[i] + w."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    for s in range(1, keys.size):
+        near = np.flatnonzero(keys[s:] - keys[:-s] <= w)
+        if near.size == 0:
+            return
+        yield order[near], order[near + s]
+
+
+def _cluster(eigs: list[complex], tol: float) -> tuple[list, list[int]]:
+    # (mean, multiplicity) per cluster and each eigenvalue's multiplicity by
+    # single-linkage union-find over the pairs within 2*tol, so a chain of
+    # such steps merges without a bound on the cluster's span. Those pairs
+    # are within 2*tol in real part, where _near_pairs looks.
     n = len(eigs)
     parent = list(range(n))
 
@@ -91,18 +105,10 @@ def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
             i = parent[i]
         return i
 
-    re = np.asarray(eigs, dtype=complex).real
-    order = np.argsort(re, kind="stable").tolist()
-    re = re[order].tolist()
-    for pos, i in enumerate(order):
-        for nxt in range(pos + 1, n):
-            if re[nxt] - re[pos] > 2 * tol:
-                break
-            j = order[nxt]
+    for near_i, near_j in _near_pairs(np.asarray(eigs, dtype=complex).real, 2 * tol):
+        for i, j in zip(near_i.tolist(), near_j.tolist()):
             if abs(eigs[i] - eigs[j]) <= 2 * tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+                parent[find(j)] = find(i)
     groups: dict[int, list[complex]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(eigs[i])
@@ -113,7 +119,24 @@ def _cluster(eigs: list[complex], tol: float) -> list[tuple[complex, int]]:
             mean = complex(mean.real, 0.0)
         out.append((mean, len(members)))
     out.sort(key=lambda c: (-c[0].real, c[0].imag))
-    return out
+    return out, [len(groups[find(i)]) for i in range(n)]
+
+
+def _resonant(centers: np.ndarray, tol: float) -> bool:
+    """True when two centers' difference d has |Im d| <= tol and Re d within
+    tol of a nonzero integer. Such a pair has fractional real parts within w
+    mod 1 (tol, plus a margin for the rounding of d and of the fractional
+    parts), so only pairs that close are tested, those near 0 also past 1."""
+    w = tol + 2.0**-49 * (1.0 + np.abs(centers.real).max())
+    frac = np.mod(centers.real, 1.0)
+    wrap = np.flatnonzero(frac <= w)
+    index = np.concatenate([np.arange(centers.size), wrap])
+    for i, j in _near_pairs(np.concatenate([frac, frac[wrap] + 1.0]), w):
+        d = centers[index[j]] - centers[index[i]]
+        k = np.rint(d.real)
+        if np.any((np.abs(d.imag) <= tol) & (k != 0) & (np.abs(d.real - k) < tol)):
+            return True
+    return False
 
 
 def _eigenvalues(diag, sub, sup) -> np.ndarray:
@@ -177,21 +200,15 @@ def eigen_spectrum(m: LoewnerMatrices) -> SpectrumResult:
     eigs = _eigenvalues(m.b_diag, m.b_sub, m.b_super)
     max_real = _max_real(eigs)
     eigs = eigs[np.lexsort((eigs.imag, -eigs.real))].astype(complex)
-    clusters = _cluster(eigs.tolist(), CLUSTER_TOL)
-    # two real cluster centers a nonzero integer apart, within tolerance
-    centers = np.array([c for c, _ in clusters])
-    d = centers[:, None] - centers[None, :]
-    k = np.rint(d.real)
-    resonant = (
-        (np.abs(d.imag) <= CLUSTER_TOL) & (k != 0) & (np.abs(d.real - k) < CLUSTER_TOL)
-    )
+    clusters, mults = _cluster(eigs.tolist(), CLUSTER_TOL)
     on_axis = np.abs(eigs.imag) <= CLUSTER_TOL
     return SpectrumResult(
         eigenvalues=tuple(eigs.tolist()),
         max_real=max_real,
         n_nonneg_real=int(np.count_nonzero(on_axis & (eigs.real >= -CLUSTER_TOL))),
         clusters=tuple(clusters),
-        resonant=bool(resonant.any()),
+        multiplicities=tuple(mults),
+        resonant=_resonant(np.array([c for c, _ in clusters]), CLUSTER_TOL),
         all_real=bool(on_axis.all()),
     )
 

@@ -86,7 +86,6 @@ class TestValidation:
     def test_validate_eta_accepts_formal(self):
         eta = validate_eta((0.5, 9.0))
         assert isinstance(eta, EtaSequence)
-        assert eta.formal
         assert eta.n_max == 2
 
     def test_n_max_positive(self):
@@ -108,13 +107,11 @@ class TestJsonInput:
         )
         eta = eta_from_json_file(str(p), 3)
         assert eta.values == pytest.approx((1.5, 2.5, 5.5))
-        assert not eta.formal
 
     def test_formal_schema(self, tmp_path):
         p = tmp_path / "eta.json"
         p.write_text(json.dumps({"eta": [1.0, 4.0, 9.0]}))
         eta = eta_from_json_file(str(p), 3)
-        assert eta.formal
         assert eta.values == (1.0, 4.0, 9.0)
 
     def test_formal_schema_must_cover(self, tmp_path):

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +23,9 @@ from llespec import (
     recurrence_coefficients,
     validate_eta,
 )
+from llespec import cli
 from llespec.cli import main
-from llespec.loewner_system import CharPolyRecurrence, charpoly_eval
+from llespec.loewner_system import CharPolyRecurrence, LoewnerMatrices, charpoly_eval
 from llespec.spectral_solver import (
     DENSE_EIGEN_LIMIT,
     _certified_top_root,
@@ -31,6 +35,7 @@ from llespec.spectral_solver import (
     _gershgorin_bounds,
     _max_real_sequence,
     _newton_from_above,
+    _resonant,
 )
 from tests.conftest import random_driver
 
@@ -66,7 +71,27 @@ def _cluster_all_pairs(eigs, tol):
             mean = complex(mean.real, 0.0)
         out.append((mean, len(members)))
     out.sort(key=lambda c: (-c[0].real, c[0].imag))
-    return out
+    return out, [len(groups[find(i)]) for i in range(n)]
+
+
+def _resonant_all_pairs(centers, tol):
+    """The c x c resonance test that _resonant replaced."""
+    d = centers[:, None] - centers[None, :]
+    k = np.rint(d.real)
+    return bool(
+        ((np.abs(d.imag) <= tol) & (k != 0) & (np.abs(d.real - k) < tol)).any()
+    )
+
+
+def _block_diagonal(diag, sub, sup):
+    """LoewnerMatrices whose B has these bands (A is zero)."""
+    n = len(diag)
+    zero = np.zeros(n)
+    return LoewnerMatrices(
+        Variant.UNBOUNDED, n, zero, zero[:-1],
+        np.array(sub, dtype=float), np.array(diag, dtype=float),
+        np.array(sup, dtype=float),
+    )
 
 
 def _route2_systems(rng, count):
@@ -118,9 +143,24 @@ class TestEigenSpectrum:
 
     def test_cluster_is_single_linkage(self):
         # steps of 1.5*tol chain into one cluster spanning 4.5*tol
-        [(mean, mult)] = _cluster([0, 1.5e-7, 3e-7, 4.5e-7], 1e-7)
+        [(mean, mult)], mults = _cluster([0, 1.5e-7, 3e-7, 4.5e-7], 1e-7)
         assert mult == 4
+        assert mults == [4, 4, 4, 4]
         assert mean == pytest.approx(2.25e-7)
+
+    def test_chained_cluster_multiplicities(self, capsys, monkeypatch):
+        # 0 .. 5.7e-7 chain into one cluster at CLUSTER_TOL = 1e-7 (steps of
+        # 1.9e-7); 7.8e-7 is 2.1e-7 from it, a cluster of its own, yet nearer
+        # to 5.7e-7 than that cluster's mean 2.85e-7 is
+        diag = [0.0, 1.9e-7, 3.8e-7, 5.7e-7, 7.8e-7]
+        m = _block_diagonal(diag, [0.0] * 4, [0.0] * 4)
+        s = eigen_spectrum(m)
+        assert s.multiplicities == (1, 4, 4, 4, 4)
+        assert [mult for _, mult in s.clusters] == [1, 4]
+        monkeypatch.setattr(cli, "build_matrices", lambda *args: m)
+        assert main(["spectrum", "--kappa", "1", "--n", "5", "--csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [int(r["multiplicity"]) for r in rows] == [1, 4, 4, 4, 4]
 
     def test_cluster_matches_all_pairs(self, rng):
         tol = 1e-7
@@ -139,6 +179,29 @@ class TestEigenSpectrum:
             want = _cluster_all_pairs(eigs, tol)
             assert got == want
             assert repr(got) == repr(want)
+
+    def test_resonant_matches_all_pairs(self, rng):
+        # centers an integer apart up to jitter around tol, on and off the
+        # real axis, near the wrap of the fractional part at 0 and 1, and at
+        # magnitudes up to 1e12 where rounding widens the sweep's window
+        tol = 1e-7
+        jitter = np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])
+        found = 0
+        for trial in range(2000):
+            n = int(rng.integers(1, 30))
+            base = rng.normal() * 10.0 ** rng.integers(-3, 13)
+            if trial % 4 == 1:
+                base = float(rng.choice([-1e-17, 1e-17, 0.0]))
+            z = base + rng.integers(-4, 5, size=n) + rng.choice(
+                np.concatenate([jitter, -jitter]), size=n
+            ) * tol
+            if trial % 2:
+                z = z + 1j * rng.choice([0.0, 0.3, -0.3, 0.3 + tol], size=n)
+            z = np.asarray(z, dtype=complex)
+            want = _resonant_all_pairs(z, tol)
+            assert _resonant(z, tol) == want
+            found += want
+        assert 0 < found < 2000
 
     def test_ordering_descending_real(self, rng):
         for variant in Variant:
@@ -162,6 +225,13 @@ class TestEigenSpectrum:
     def test_resonant_integer_gap(self):
         s = eigen_spectrum(build_matrices(ETA_SLE2, 2, Variant.UNBOUNDED))
         assert s.resonant  # 4 - 1 = 3
+        # 0.3 +- 0.5i and 1.3 +- 0.5i: equal imaginary parts, real parts one
+        # apart, so resonant though neither center lies on the real axis
+        s = eigen_spectrum(_block_diagonal(
+            [0.3, 0.3, 1.3, 1.3, 5.0], [-0.5, 0.0, -0.5, 0.0], [0.5, 0.0, 0.5, 0.0]
+        ))
+        assert not s.all_real
+        assert s.resonant
 
     def test_resonant_bounded_gap_one(self):
         eta = validate_eta((1.0 / 9.0, 4.0 / 9.0))
@@ -171,6 +241,20 @@ class TestEigenSpectrum:
     def test_not_resonant_ple(self):
         s = eigen_spectrum(build_matrices(ETA_PLE1, 3, Variant.BOUNDED))
         assert not s.resonant
+
+    def test_memory_is_bounded(self):
+        # bounded kappa = 0.3 at N = 3000: one real cluster per eigenvalue,
+        # so a c x c resonance test would hold ~9e6 pairs (over 300 MiB)
+        m = build_matrices(eta_sequence(LevyDriver(kappa=0.3), 3000), 3000,
+                           Variant.BOUNDED)
+        eigen_spectrum(m)  # warm-up: scipy.linalg's import and first call
+        tracemalloc.start()
+        try:
+            eigen_spectrum(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_deterministic(self, rng):
         eta = eta_sequence(random_driver(rng), 7)
