@@ -11,14 +11,16 @@ x = 0, normalized so the first component of c_0 equals 1. Approaching
 xi = 1 along a geometric ladder, the angular mean of rho grows like
 |1 - xi|^(-beta), which gives the third, spectrum-independent route to
 beta(2). The series is summed only at x = 1/2, where it converges like
-2^-k, to an order set by its tail; one adaptive integration of the system
-(no singular point lies in between) carries theta from there to every
-ladder point. It runs in the log-distance t = -log2|1 - xi|, where the
-ladder points are the integers t = j and the distance 2^-t is never formed
-by cancellation, so the ladder reaches the double-precision limit
-j_max = 52. There theta grows like 2^(beta t); the integrator carries
-theta times an integrating factor e^(-r t) that takes most of that growth
-out.
+2^-k, to an order set by its tail; the system (no singular point lies in
+between) carries theta from there to every ladder point. It is integrated
+in the log-distance t = -log2|1 - xi|, where the ladder points are the
+integers t = j and the distance 2^-t is never formed by cancellation, so
+the ladder reaches the double-precision limit j_max = 52. The unit pieces
+between consecutive integers get their N x N propagators from one batched
+adaptive solve, and theta is chained through them, so the step count
+follows the hardest piece, not the length of the ladder. There theta
+grows like 2^(beta t); the propagators carry an integrating factor
+e^(-r t) that takes most of that growth out.
 """
 
 from __future__ import annotations
@@ -273,11 +275,14 @@ def blowup_exponent(
 
     theta is summed from the series at x = 1/2 (xi = 1/2 or 2), with 64
     terms doubled until the tail is below 2^-53 relative to theta; a tail
-    above 1e-6 at SERIES_TERM_LIMIT terms raises PrecisionError. One
-    integration in the log-distance t = -log2|1 - xi| then carries theta to
-    every ladder point, which sits at an integer t = j; no distance is
-    formed by cancellation, so the ladder holds to the double-precision
-    limit j_max = 52, and j_min costs no series terms.
+    above 1e-6 at SERIES_TERM_LIMIT terms raises PrecisionError. In the
+    log-distance t = -log2|1 - xi| that point is t0 = 1 (unbounded) or 0
+    (bounded) and every ladder point is an integer t = j, so the span
+    (t0, j_max) falls into unit pieces: one batched DOP853 solve gives the
+    propagators of all of them, and chaining theta through them reaches
+    every ladder point (see _integrate_log_distance). No distance is formed
+    by cancellation, so the ladder holds to the double-precision limit
+    j_max = 52, and j_min costs no series terms.
 
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
@@ -286,7 +291,7 @@ def blowup_exponent(
     """
     ladder = ladder or GeometricLadder()
     unbounded = sys.variant is Variant.UNBOUNDED
-    sign, xi0, t0 = (-1.0, 0.5, 1.0) if unbounded else (1.0, 2.0, 0.0)
+    sign, xi0, t0 = (-1.0, 0.5, 1) if unbounded else (1.0, 2.0, 0)
     k_terms, tail, scale = 32, math.inf, 1.0  # the first pass takes 64 terms
     while tail > 2.0**-53 * scale and k_terms < SERIES_TERM_LIMIT:
         k_terms *= 2
@@ -303,11 +308,12 @@ def blowup_exponent(
     # nonzero c_k gives the integrating factor a rate near beta ln2; the rate
     # at theta(1/2) is too far off and costs a deep ladder digits
     c = series.coefficients[series.coefficients.any(axis=1)]
-    js = range(ladder.j_min, ladder.j_max + 1)
-    thetas = _integrate_log_distance(sys, sign, (t0, js[-1]), theta, c[-1], js)
+    # row i of the chain is theta at t = t0 + i
+    chain = _integrate_log_distance(sys, sign, (t0, ladder.j_max), theta, c[-1])
+    thetas = chain[ladder.j_min - t0 :]
     points = ladder.points(sys.variant)
     xs = [_local_argument(sys.variant, xi) for xi in points]
-    g = np.array([_angular_mean(th, x) for th, x in zip(thetas.T, xs)])
+    g = np.array([_angular_mean(th, x) for th, x in zip(thetas, xs)])
     oscillation = bool(np.any(g[:-1] * g[1:] < 0))
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
@@ -344,9 +350,11 @@ def integrate_system(
     The path must approach xi = 1 (|1 - xi1| <= |1 - xi0|): away from it
     the solutions singular at xi = 0 or infinity grow and swamp the
     analytic one, and the result would be wrong without a sign of it.
-    DOP853 carries theta times an exact integrating factor that removes its
-    dominant growth or decay toward xi = 1 (see _integrate_log_distance),
-    so a solution that decays along the path keeps its relative accuracy.
+    DOP853 integrates the propagators of the span's pieces, at most one unit
+    of t long, together and theta is chained through them (see
+    _integrate_log_distance); an exact integrating factor removes theta's
+    dominant growth or decay toward xi = 1, so a solution that decays along
+    the path keeps its relative accuracy.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (sys.n,) or not np.all(np.isfinite(theta0)):
@@ -365,7 +373,7 @@ def integrate_system(
         )
     sign = 1.0 if xi0 > 1.0 else -1.0
     t_span = tuple(-math.log2(abs(1.0 - x)) for x in (xi0, xi1))
-    return _integrate_log_distance(sys, sign, t_span, theta0, theta0)[:, -1]
+    return _integrate_log_distance(sys, sign, t_span, theta0, theta0)[-1]
 
 
 def _integrate_log_distance(
@@ -374,47 +382,63 @@ def _integrate_log_distance(
     t_span: tuple[float, float],
     theta0: np.ndarray,
     direction: np.ndarray,
-    t_eval=None,
 ) -> np.ndarray:
-    """theta carried over t_span on the side xi = 1 + sign * 2^-t of the
-    singular point, one column per point of t_eval (default: each step).
+    """theta on the side xi = 1 + sign * 2^-t of the singular point at the
+    k + 1 points s_i = t0 + i h, h = (t1 - t0) / k, that cut t_span into
+    k = ceil(t1 - t0) equal pieces (unit pieces when t0 and t1 are
+    integers, as on the ladder); row i is theta(s_i), row 0 is theta0.
 
     With d = sign * 2^-t the system reads
     dtheta/dt = ln2 [B theta - d / (1 + d) A theta]; d is exact in t, so
     theta is carried as close to xi = 1 as 2^-t resolves.
 
     As d -> 0 the operator tends to ln2 B, so theta grows or decays like
-    2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
+    2^(beta t). The pieces carry phi = e^(-r (t - t0)) theta instead, with
     r = u' (ln2 B) u / u' u (0 for a zero u), the Rayleigh quotient of
-    ln2 B at u = direction. The change of variables is exact:
-    phi' = rhs(phi) - r phi, and each returned column is scaled back by
-    e^(r (t - t0)). The steps follow only the growth left in phi, the less
-    the nearer u is to theta's direction as xi -> 1, and a decaying solution
-    is not lost to the fixed atol.
+    ln2 B at u = direction; the change of variables is exact, and row i is
+    scaled back by e^(r (s_i - t0)).
+
+    One DOP853 solve in a local time tau in [0, 1], shared by all pieces,
+    integrates the k N x N propagators of phi at once, each from the
+    identity (so a plain atol fits them all); each right-hand side is one
+    batched matrix product. Their k matrix-vector products then chain phi
+    from piece to piece. The steps follow the hardest single piece rather
+    than the whole span, and a solution decaying along the span is not lost
+    to the fixed atol, which bounds each propagator's error, not theta's.
     """
     import scipy.integrate  # only user in the package; kept off the import path
 
-    ln2_a = math.log(2.0) * sys.matrices.a_dense()
+    t0, t1 = t_span
+    n = sys.n
+    k = max(1, math.ceil(t1 - t0))
+    h = (t1 - t0) / k
     ln2_b = math.log(2.0) * sys.matrices.b_dense()
-    scale = float(np.max(np.abs(theta0))) or 1.0
     # the quotient is taken on u / max|u|, so its sums cannot overflow
     u = direction / (float(np.max(np.abs(direction))) or 1.0)
     norm2 = float(u @ u)
     r = float(u @ ln2_b @ u) / norm2 if norm2 else 0.0
+    h_b = h * (ln2_b - r * np.eye(n))
+    h_a = h * math.log(2.0) * sys.matrices.a_dense()
+    d_starts = sign * 2.0 ** -(t0 + h * np.arange(k))  # d at each piece's start
 
-    def rhs(t, phi):
-        d = sign * 2.0**-t
-        return ln2_b @ phi - d / (1.0 + d) * (ln2_a @ phi) - r * phi
+    def rhs(tau, y):
+        d = d_starts * 2.0 ** (-h * tau)
+        m = h_b - (d / (1.0 + d))[:, None, None] * h_a
+        return (m @ y.reshape(k, n, n)).ravel()
 
     sol = scipy.integrate.solve_ivp(
         rhs,
-        t_span,
-        theta0,
+        (0.0, 1.0),
+        np.tile(np.eye(n).ravel(), k),
         method="DOP853",
-        t_eval=t_eval,
+        t_eval=(1.0,),  # keeps only the end state, not k N^2 floats per step
         rtol=_INTEGRATION_RTOL,
-        atol=1e-13 * scale,
+        atol=1e-13,
     )
     if not sol.success:
         raise NumericalError(f"integration failed: {sol.message}")
-    return sol.y * np.exp(r * (sol.t - t_span[0]))
+    phi = np.empty((k + 1, n))
+    phi[0] = theta0
+    for i, propagator in enumerate(sol.y[:, -1].reshape(k, n, n)):
+        phi[i + 1] = propagator @ phi[i]
+    return phi * np.exp(r * h * np.arange(k + 1))[:, None]

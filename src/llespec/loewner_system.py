@@ -1,11 +1,11 @@
 """Residue matrices of the Fuchsian system and the characteristic-polynomial
 recurrence, for both variants of the evolution.
 
-Matrices are stored as bands, never dense (dense conversion exists for tests
-and fallbacks). The first row of each matrix follows the displayed form
-verbatim: its off-diagonal entry differs from the generic band formula by a
-factor of 2, absorbed by folding the negative mode (theta_{-1} = xi^{+/-1}
-theta_1).
+Matrices are stored as bands; `_dense` writes them into one dense matrix
+for the non-symmetric eigensolver path, the ODE integration and tests. The
+first row of each matrix follows the displayed form verbatim: its
+off-diagonal entry differs from the generic band formula by a factor of 2,
+absorbed by folding the negative mode (theta_{-1} = xi^{+/-1} theta_1).
 """
 
 from __future__ import annotations
@@ -78,17 +78,28 @@ class LoewnerMatrices:
     b_super: np.ndarray
 
     def b_dense(self) -> np.ndarray:
-        m = np.diag(self.b_diag)
-        if self.n > 1:
-            m += np.diag(self.b_super, 1) + np.diag(self.b_sub, -1)
-        return m
+        return _dense(self.b_diag, self.b_sub, self.b_super)
 
     def a_dense(self) -> np.ndarray:
-        m = np.diag(self.a_diag)
-        if self.n > 1:
-            off = 1 if self.variant is Variant.BOUNDED else -1
-            m += np.diag(self.a_off, off)
-        return m
+        if self.variant is Variant.BOUNDED:
+            return _dense(self.a_diag, sup=self.a_off)
+        return _dense(self.a_diag, sub=self.a_off)
+
+
+def _dense(diag, sub=(), sup=()) -> np.ndarray:
+    """The N x N matrix with these bands, in one allocation: each band is
+    written through a strided view of the flat matrix. Adding 0.0 turns a
+    band's -0.0 into +0.0, so every entry is bitwise what a sum of np.diag
+    matrices gives."""
+    n = len(diag)
+    m = np.zeros((n, n))
+    flat = m.reshape(-1)
+    np.add(diag, 0.0, out=flat[:: n + 1])
+    if len(sub):
+        np.add(sub, 0.0, out=flat[n :: n + 1])
+    if len(sup):
+        np.add(sup, 0.0, out=flat[1 :: n + 1])
+    return m
 
 
 def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrices:

@@ -31,6 +31,7 @@ from .loewner_system import (
     LoewnerMatrices,
     Variant,
     _charpoly_taylor,
+    _dense,
     build_matrices,
     charpoly_eval,
     truncation_order,
@@ -154,10 +155,8 @@ def _eigenvalues(diag, sub, sup) -> np.ndarray:
         raise CapacityError(
             f"dense eigensolver limited to N <= {DENSE_EIGEN_LIMIT}, got N={n}"
         )
-    m = np.diag(diag)
-    m += np.diag(sup, 1) + np.diag(sub, -1)
     try:
-        return np.linalg.eigvals(m)
+        return np.linalg.eigvals(_dense(diag, sub, sup))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver did not converge for N={n}; diag={diag.tolist()} "

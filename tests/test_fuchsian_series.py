@@ -328,6 +328,53 @@ class TestBlowup:
         fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, 34))
         assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-10
 
+    @pytest.mark.parametrize("rate, n", [(1.0, 3), (3.0, 5)])
+    def test_deep_bounded_ladder_matches_eigenvalue_to_1e10(self, rate, n):
+        # each unit piece's propagator is integrated from the identity, so
+        # the integration error does not build up along the ladder
+        m = build_matrices(
+            eta_sequence(LevyDriver(uniform_rate=rate), 8), n, Variant.BOUNDED
+        )
+        fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, 30))
+        assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-10
+
+    def test_ladder_from_the_integration_start(self):
+        # unbounded theta is summed at xi = 1/2, which is the ladder's j = 1
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        fit = blowup_exponent(sys, ladder=GeometricLadder(1, 9))
+        series = series_solution(sys, 2000)
+        g1, g2 = (angular_mean_rho(series, xi) for xi in (0.5, 0.75))
+        assert fit.window[1] == 0.5
+        assert len(fit.slopes) == 8
+        assert fit.slopes[0] == pytest.approx(math.log2(abs(g2 / g1)), rel=1e-9)
+        assert abs(fit.beta_est - 4.0) < 1e-3
+
+    @pytest.mark.parametrize(
+        "driver, n, variant",
+        [
+            (LevyDriver(kappa=6.0, uniform_rate=5.0), 8, Variant.UNBOUNDED),
+            (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED),
+        ],
+        ids=["unbounded-kappa6-rate5", "bounded-rate98.5"],
+    )
+    def test_stiff_driver_step_count(self, monkeypatch, driver, n, variant):
+        # B's spectral radius is 100-210 here, so DOP853's steps are limited
+        # by stability; per unit piece, not per ladder, that costs ~1,000
+        # right-hand sides (a solve over the whole span took 6,600-8,200)
+        import scipy.integrate
+
+        nfev = []
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def counting(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+        blowup_exponent(_system(eta_sequence(driver, n), n, variant))
+        assert nfev and sum(nfev) <= 2000
+
     def test_far_ladder_start_matches_eigenvalue(self):
         # the series is summed at x = 1/2 whatever the ladder, so a ladder
         # starting at 2^-20 from xi = 1 costs no extra series terms
@@ -356,6 +403,24 @@ class TestIntegration:
         start = evaluate_theta(series, 50.0)
         got = integrate_system(sys, 50.0, start, 1.5)
         np.testing.assert_allclose(got, evaluate_theta(series, 1.5), rtol=1e-7)
+
+    @pytest.mark.parametrize(
+        "variant, xi0, xi1",
+        [
+            (Variant.UNBOUNDED, 0.5, 0.6),  # t from 1 to 1.32: one short piece
+            (Variant.BOUNDED, 2.0, 1.7),
+            (Variant.UNBOUNDED, 0.3, 0.97),  # t from 0.51 to 5.06: 5 pieces
+            (Variant.BOUNDED, 4.0, 1.03),  # t from -1.58 to 5.06: 7 pieces
+        ],
+        ids=["unbounded-short", "bounded-short", "unbounded-5", "bounded-7"],
+    )
+    def test_matches_series_off_the_unit_grid(self, variant, xi0, xi1):
+        sys = _system(eta_sequence(LevyDriver(kappa=0.3), 6), 6, variant)
+        series = series_solution(sys, 4000)
+        want, tail = evaluate_theta_with_tail(series, xi1)
+        assert tail < 1e-14 * np.max(np.abs(want))
+        got = integrate_system(sys, xi0, evaluate_theta(series, xi0), xi1)
+        np.testing.assert_allclose(got, want, rtol=1e-8)
 
     @pytest.mark.parametrize(
         "variant, xi0, xi1, exact",

@@ -22,6 +22,7 @@ from llespec.fuchsian_series import _local_bands
 from llespec.loewner_system import (
     CharPolyRecurrence,
     _charpoly_taylor,
+    _dense,
 )
 from llespec.spectral_solver import _gershgorin_bounds
 from tests.conftest import charpoly_log_abs, random_driver
@@ -58,6 +59,19 @@ class TestMatrixExamples:
             assert unb.b_dense()[0, :2].tolist() == [3.0, -2.0]
             assert bnd.a_dense()[0, :2].tolist() == [-1.0, 2.0]
             assert bnd.b_dense()[0, :2].tolist() == [-1.0, 2.0]
+
+    def test_dense_matches_sum_of_diagonals(self, rng):
+        # one allocation, yet bitwise the sum of np.diag matrices, signed
+        # zeros included (the sum turns a band's -0.0 into +0.0)
+        for n in range(1, 9):
+            bands = [rng.standard_normal(n), rng.standard_normal(n - 1),
+                     rng.standard_normal(n - 1)]
+            for band in bands:
+                band[rng.random(len(band)) < 0.4] = -0.0
+            diag, sub, sup = bands
+            want = np.diag(diag)
+            want += np.diag(sup, 1) + np.diag(sub, -1)
+            assert _dense(diag, sub, sup).tobytes() == want.tobytes()
 
     def test_needs_eta_coverage(self):
         short = validate_eta((1.0, 4.0))

@@ -256,6 +256,21 @@ class TestEigenSpectrum:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_dense_path_holds_one_matrix(self, rng):
+        # sub * sup < 0 takes the dense QR path; its N x N matrix is built
+        # once (np.linalg.eigvals' working copy is not traced)
+        n = 1000
+        diag, sub = rng.standard_normal(n), rng.standard_normal(n - 1)
+        sup = -np.abs(rng.standard_normal(n - 1))
+        _eigenvalues(diag[:8], sub[:7], sup[:7])  # warm-up
+        tracemalloc.start()
+        try:
+            _eigenvalues(diag, sub, sup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
     def test_deterministic(self, rng):
         eta = eta_sequence(random_driver(rng), 7)
         m = build_matrices(eta, 7, Variant.UNBOUNDED)
