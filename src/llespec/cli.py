@@ -411,9 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--j-max",
         type=int,
         default=14,
-        help="nearest ladder point |1 - xi| = 2^-j_max, at most 52; the "
-        "unit pieces of the log-distance span are integrated together, so "
-        "a deeper ladder adds work per step, not steps (default 14)",
+        help="nearest ladder point |1 - xi| = 2^-j_max, at most 52; on "
+        "small or stiff systems the unit pieces of the log-distance span "
+        "are integrated together, so a deeper ladder adds work per step, "
+        "not steps (default 14)",
     )
     p.set_defaults(func=_cmd_fuchs)
 

@@ -15,12 +15,13 @@ beta(2). The series is summed only at x = 1/2, where it converges like
 between) carries theta from there to every ladder point. It is integrated
 in the log-distance t = -log2|1 - xi|, where the ladder points are the
 integers t = j and the distance 2^-t is never formed by cancellation, so
-the ladder reaches the double-precision limit j_max = 52. The unit pieces
-between consecutive integers get their N x N propagators from one batched
-adaptive solve, and theta is chained through them, so the step count
-follows the hardest piece, not the length of the ladder. There theta
-grows like 2^(beta t); the propagators carry an integrating factor
-e^(-r t) that takes most of that growth out.
+the ladder reaches the double-precision limit j_max = 52. On small or
+stiff systems the unit pieces between consecutive integers get their
+N x N propagators from one batched adaptive solve, and theta is chained
+through them, so the step count follows the hardest piece, not the length
+of the ladder; otherwise one adaptive solve carries theta over the span.
+There theta grows like 2^(beta t); the integrator carries an integrating
+factor e^(-r t) that takes most of that growth out.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ _TAIL_GATE = 1e-6
 SERIES_TERM_LIMIT = 1 << 20
 _J_MAX_LIMIT = 52
 _INTEGRATION_RTOL = 1e-10
+# when the ladder's propagators are batched: see _batching_pays
+_BATCH_STATE_LIMIT = 4096  # k N^2 floats
+_BATCH_ANY_N = 6
+_STIFF_WIDTH_PER_ROW = 3.0
 
 
 @dataclass(frozen=True)
@@ -278,11 +283,12 @@ def blowup_exponent(
     above 1e-6 at SERIES_TERM_LIMIT terms raises PrecisionError. In the
     log-distance t = -log2|1 - xi| that point is t0 = 1 (unbounded) or 0
     (bounded) and every ladder point is an integer t = j, so the span
-    (t0, j_max) falls into unit pieces: one batched DOP853 solve gives the
-    propagators of all of them, and chaining theta through them reaches
-    every ladder point (see _integrate_log_distance). No distance is formed
-    by cancellation, so the ladder holds to the double-precision limit
-    j_max = 52, and j_min costs no series terms.
+    (t0, j_max) falls into unit pieces: on small or stiff systems one
+    batched DOP853 solve gives the propagators of all of them, and chaining
+    theta through them reaches every ladder point; otherwise one DOP853
+    solve carries theta along (see _integrate_log_distance). No distance
+    is formed by cancellation, so the ladder holds to the double-precision
+    limit j_max = 52, and j_min costs no series terms.
 
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
@@ -350,9 +356,10 @@ def integrate_system(
     The path must approach xi = 1 (|1 - xi1| <= |1 - xi0|): away from it
     the solutions singular at xi = 0 or infinity grow and swamp the
     analytic one, and the result would be wrong without a sign of it.
-    DOP853 integrates the propagators of the span's pieces, at most one unit
-    of t long, together and theta is chained through them (see
-    _integrate_log_distance); an exact integrating factor removes theta's
+    On small or stiff systems DOP853 integrates the propagators of the
+    span's pieces, at most one unit of t long, together and theta is
+    chained through them; otherwise it carries theta itself (see
+    _integrate_log_distance). An exact integrating factor removes theta's
     dominant growth or decay toward xi = 1, so a solution that decays along
     the path keeps its relative accuracy.
     """
@@ -393,18 +400,19 @@ def _integrate_log_distance(
     theta is carried as close to xi = 1 as 2^-t resolves.
 
     As d -> 0 the operator tends to ln2 B, so theta grows or decays like
-    2^(beta t). The pieces carry phi = e^(-r (t - t0)) theta instead, with
+    2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
     r = u' (ln2 B) u / u' u (0 for a zero u), the Rayleigh quotient of
     ln2 B at u = direction; the change of variables is exact, and row i is
     scaled back by e^(r (s_i - t0)).
 
-    One DOP853 solve in a local time tau in [0, 1], shared by all pieces,
-    integrates the k N x N propagators of phi at once, each from the
-    identity (so a plain atol fits them all); each right-hand side is one
-    batched matrix product. Their k matrix-vector products then chain phi
-    from piece to piece. The steps follow the hardest single piece rather
-    than the whole span, and a solution decaying along the span is not lost
-    to the fixed atol, which bounds each propagator's error, not theta's.
+    Where _batching_pays, one solve in a local time tau in [0, 1], shared
+    by all pieces, integrates the k N x N propagators of phi at once, each
+    from the identity (so a plain atol fits them all); each right-hand side
+    is one batched matrix product, and k matrix-vector products then chain
+    phi from piece to piece. Its steps follow the hardest single piece
+    rather than the whole span, and its error does not build up along the
+    span. Otherwise one solve carries the N-vector phi over the whole span,
+    with atol scaled to theta0.
     """
     import scipy.integrate  # only user in the package; kept off the import path
 
@@ -412,33 +420,87 @@ def _integrate_log_distance(
     n = sys.n
     k = max(1, math.ceil(t1 - t0))
     h = (t1 - t0) / k
+    ln2_a = math.log(2.0) * sys.matrices.a_dense()
     ln2_b = math.log(2.0) * sys.matrices.b_dense()
     # the quotient is taken on u / max|u|, so its sums cannot overflow
     u = direction / (float(np.max(np.abs(direction))) or 1.0)
     norm2 = float(u @ u)
     r = float(u @ ln2_b @ u) / norm2 if norm2 else 0.0
-    h_b = h * (ln2_b - r * np.eye(n))
-    h_a = h * math.log(2.0) * sys.matrices.a_dense()
-    d_starts = sign * 2.0 ** -(t0 + h * np.arange(k))  # d at each piece's start
+    if _batching_pays(sys.matrices, k):
+        h_b = h * (ln2_b - r * np.eye(n))
+        h_a = h * ln2_a
+        d_starts = sign * 2.0 ** -(t0 + h * np.arange(k))  # d at each piece's start
 
-    def rhs(tau, y):
-        d = d_starts * 2.0 ** (-h * tau)
-        m = h_b - (d / (1.0 + d))[:, None, None] * h_a
-        return (m @ y.reshape(k, n, n)).ravel()
+        def rhs(tau, y):
+            d = d_starts * 2.0 ** (-h * tau)
+            m = h_b - (d / (1.0 + d))[:, None, None] * h_a
+            return (m @ y.reshape(k, n, n)).ravel()
 
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.tile(np.eye(n).ravel(), k),
-        method="DOP853",
-        t_eval=(1.0,),  # keeps only the end state, not k N^2 floats per step
-        rtol=_INTEGRATION_RTOL,
-        atol=1e-13,
-    )
-    if not sol.success:
-        raise NumericalError(f"integration failed: {sol.message}")
-    phi = np.empty((k + 1, n))
-    phi[0] = theta0
-    for i, propagator in enumerate(sol.y[:, -1].reshape(k, n, n)):
-        phi[i + 1] = propagator @ phi[i]
+        sol = scipy.integrate.solve_ivp(
+            rhs,
+            (0.0, 1.0),
+            np.tile(np.eye(n).ravel(), k),
+            method="DOP853",
+            t_eval=(1.0,),  # keeps only the end state, not k N^2 floats per step
+            rtol=_INTEGRATION_RTOL,
+            atol=1e-13,
+        )
+        if not sol.success:
+            raise NumericalError(f"integration failed: {sol.message}")
+        phi = np.empty((k + 1, n))
+        phi[0] = theta0
+        for i, propagator in enumerate(sol.y[:, -1].reshape(k, n, n)):
+            phi[i + 1] = propagator @ phi[i]
+    else:
+        scale = float(np.max(np.abs(theta0))) or 1.0
+
+        def rhs(t, phi):
+            d = sign * 2.0**-t
+            return ln2_b @ phi - d / (1.0 + d) * (ln2_a @ phi) - r * phi
+
+        t_eval = t0 + h * np.arange(k + 1)
+        t_eval[-1] = t1  # t0 + k h may round past the end of the span
+        sol = scipy.integrate.solve_ivp(
+            rhs,
+            t_span,
+            theta0,
+            method="DOP853",
+            t_eval=t_eval,
+            rtol=_INTEGRATION_RTOL,
+            atol=1e-13 * scale,
+        )
+        if not sol.success:
+            raise NumericalError(f"integration failed: {sol.message}")
+        phi = sol.y.T
     return phi * np.exp(r * h * np.arange(k + 1))[:, None]
+
+
+def _batching_pays(m: LoewnerMatrices, k: int) -> bool:
+    """Whether the k batched propagators cost less than one vector solve.
+
+    A batched step costs O(k N^3) against O(N^2), and the propagators, which
+    start at the identity, resolve all N modes, so they need more steps per
+    piece as N grows, where the vector solve may take a few per unit of t.
+    The vector solve is stability-bound once the spectrum of ln2 B spreads
+    far below its top, and then takes about as many steps per unit of t as
+    the batched solve per piece: batching saves up to a factor k. The
+    spread is bounded by the Gershgorin width of ln2 B, read off its bands.
+    One piece (k = 1) gains nothing, and the state limit keeps the k N^2
+    floats of each DOP853 stage small.
+
+    The thresholds come from timing both solves in blowup_exponent on 330
+    systems (Brownian drivers, among them the truncating ones, stiff and
+    random drivers; N = 2..24, ladders to j = 14, 30 and 52): with them the
+    batched solve is chosen only where it was faster, and the fit takes
+    0.44 of the vector solve's time in the geometric mean.
+    """
+    n = m.n
+    if k < 2 or k * n * n > _BATCH_STATE_LIMIT:
+        return False
+    if n <= _BATCH_ANY_N:
+        return True
+    radius = np.zeros(n)
+    radius[1:] += np.abs(m.b_sub)
+    radius[:-1] += np.abs(m.b_super)
+    width = float(np.max(m.b_diag + radius) - np.min(m.b_diag - radius))
+    return math.log(2.0) * width >= _STIFF_WIDTH_PER_ROW * n

@@ -23,7 +23,11 @@ from llespec import (
 )
 from llespec import spectral_solver
 from llespec.cli import main
-from llespec.closed_forms import HypergeometricParams, _gauss_series
+from llespec.closed_forms import (
+    HypergeometricParams,
+    _gauss_series,
+    truncated_sle_spectrum,
+)
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -364,6 +368,18 @@ class TestFuchsCommand:
         )
         assert code == 0
         assert abs(json.loads(text)["beta_est"] - 4.0) < 1e-8
+
+    def test_large_truncating_system(self, capsys):
+        # 13 batched propagators of N = 300 would hold ~9 MB in each DOP853
+        # stage; this system takes the vector solve, as at N = 1000 (~9 s)
+        n = 300
+        code, text = run_main(
+            capsys,
+            "fuchs", "--kappa", repr(2.0 * (n + 2) / n**2), "--n", str(n), "--json",
+        )
+        assert code == 0
+        top = max(truncated_sle_spectrum(n, Variant.UNBOUNDED))
+        assert abs(json.loads(text)["beta_est"] - top) < 1e-6
 
 
 class TestPerturbationCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,8 @@ from llespec import (
     series_solution,
     validate_eta,
 )
+from llespec import fuchsian_series
+from llespec.closed_forms import truncated_sle_spectrum
 from llespec.fuchsian_series import SERIES_TERM_LIMIT
 from llespec.loewner_system import LoewnerMatrices
 from tests.conftest import random_driver
@@ -374,6 +377,62 @@ class TestBlowup:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
         blowup_exponent(_system(eta_sequence(driver, n), n, variant))
         assert nfev and sum(nfev) <= 2000
+
+    @pytest.mark.parametrize(
+        "driver, n, variant",
+        [
+            (LevyDriver(kappa=0.3), 8, Variant.UNBOUNDED),
+            (LevyDriver(uniform_rate=3.0), 5, Variant.BOUNDED),
+            (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED),
+        ],
+        ids=["unbounded-kappa0.3-8", "bounded-rate3-5", "bounded-rate98.5-14"],
+    )
+    def test_batched_and_vector_solves_agree(self, monkeypatch, driver, n, variant):
+        # _integrate_log_distance carries theta along the ladder either way
+        sys = _system(eta_sequence(driver, n), n, variant)
+        fits = []
+        for batched in (True, False):
+            monkeypatch.setattr(
+                fuchsian_series, "_batching_pays", lambda m, k, b=batched: b
+            )
+            fits.append(blowup_exponent(sys))
+        np.testing.assert_allclose(fits[0].slopes, fits[1].slopes, rtol=1e-7)
+
+    @pytest.mark.parametrize(
+        "driver, n, variant, k, batched",
+        [
+            (LevyDriver(kappa=4.0 / 9.0), 6, Variant.UNBOUNDED, 13, True),
+            (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED, 14, True),
+            (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED, 1, False),
+            (LevyDriver(kappa=2 * 18 / 16**2), 16, Variant.UNBOUNDED, 13, False),
+            (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 13, False),
+        ],
+        ids=["small", "stiff", "one-piece", "truncating-16", "state-limit"],
+    )
+    def test_batching_choice(self, driver, n, variant, k, batched):
+        # measured: batching wins on small or stiff systems, and loses 2-5x
+        # on the truncating Brownian drivers at N = 12-24 and on every
+        # system tried from N ~ 32
+        m = build_matrices(eta_sequence(driver, n), n, variant)
+        assert fuchsian_series._batching_pays(m, k) is batched
+
+    def test_large_system_holds_no_propagators(self):
+        # 13 propagators of N = 200 would hold 13 * 200^2 floats in each of
+        # DOP853's ~16 stage vectors (~40 MiB); one vector solve holds the
+        # two dense residue matrices and a few N-vectors
+        n = 200
+        eta = eta_sequence(LevyDriver(kappa=2.0 * (n + 2) / n**2), n)
+        sys = _system(eta, n, Variant.UNBOUNDED)
+        blowup_exponent(sys, GeometricLadder(6, 7))  # imports scipy.integrate
+        tracemalloc.start()
+        try:
+            fit = blowup_exponent(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n * 8
+        top = max(truncated_sle_spectrum(n, Variant.UNBOUNDED))
+        assert abs(fit.beta_est - top) < 1e-6
 
     def test_far_ladder_start_matches_eigenvalue(self):
         # the series is summed at x = 1/2 whatever the ladder, so a ladder
