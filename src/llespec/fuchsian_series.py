@@ -15,13 +15,10 @@ beta(2). The series is summed only at x = 1/2, where it converges like
 between) carries theta from there to every ladder point. It is integrated
 in the log-distance t = -log2|1 - xi|, where the ladder points are the
 integers t = j and the distance 2^-t is never formed by cancellation, so
-the ladder reaches the double-precision limit j_max = 52. On small or
-stiff systems the unit pieces between consecutive integers get their
-N x N propagators from one batched adaptive solve, and theta is chained
-through them, so the step count follows the hardest piece, not the length
-of the ladder; otherwise one adaptive solve carries theta over the span.
-There theta grows like 2^(beta t); the integrator carries an integrating
-factor e^(-r t) that takes most of that growth out.
+the ladder reaches the double-precision limit j_max = 52, in one adaptive
+solve (see _integrate_log_distance for its two shapes). There theta grows
+like 2^(beta t); the integrator carries an integrating factor e^(-r t)
+that takes most of that growth out.
 """
 
 from __future__ import annotations
@@ -283,12 +280,10 @@ def blowup_exponent(
     above 1e-6 at SERIES_TERM_LIMIT terms raises PrecisionError. In the
     log-distance t = -log2|1 - xi| that point is t0 = 1 (unbounded) or 0
     (bounded) and every ladder point is an integer t = j, so the span
-    (t0, j_max) falls into unit pieces: on small or stiff systems one
-    batched DOP853 solve gives the propagators of all of them, and chaining
-    theta through them reaches every ladder point; otherwise one DOP853
-    solve carries theta along (see _integrate_log_distance). No distance
-    is formed by cancellation, so the ladder holds to the double-precision
-    limit j_max = 52, and j_min costs no series terms.
+    (t0, j_max) falls into unit pieces, whose ends one DOP853 solve
+    reaches (see _integrate_log_distance). No distance is formed by
+    cancellation, so the ladder holds to the double-precision limit
+    j_max = 52, and j_min costs no series terms.
 
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
@@ -356,9 +351,7 @@ def integrate_system(
     The path must approach xi = 1 (|1 - xi1| <= |1 - xi0|): away from it
     the solutions singular at xi = 0 or infinity grow and swamp the
     analytic one, and the result would be wrong without a sign of it.
-    On small or stiff systems DOP853 integrates the propagators of the
-    span's pieces, at most one unit of t long, together and theta is
-    chained through them; otherwise it carries theta itself (see
+    The span is cut into pieces at most one unit of t long (see
     _integrate_log_distance). An exact integrating factor removes theta's
     dominant growth or decay toward xi = 1, so a solution that decays along
     the path keeps its relative accuracy.
@@ -405,14 +398,22 @@ def _integrate_log_distance(
     ln2 B at u = direction; the change of variables is exact, and row i is
     scaled back by e^(r (s_i - t0)).
 
-    Where _batching_pays, one solve in a local time tau in [0, 1], shared
-    by all pieces, integrates the k N x N propagators of phi at once, each
-    from the identity (so a plain atol fits them all); each right-hand side
-    is one batched matrix product, and k matrix-vector products then chain
-    phi from piece to piece. Its steps follow the hardest single piece
-    rather than the whole span, and its error does not build up along the
-    span. Otherwise one solve carries the N-vector phi over the whole span,
-    with atol scaled to theta0.
+    One DOP853 solve integrates p runs of q consecutive pieces each, all
+    in one local time tau in [0, 1], and keeps each run's state at the
+    ends of its pieces, tau = j / q. The state is p N x c matrices, which
+    each right-hand side multiplies by ln2 B and ln2 A in two batched
+    products, and phi is chained through the runs' outputs. The solve's
+    shape is the only choice:
+
+    - batched, where _batching_pays: p = k runs of one piece, each the
+      N x N propagator of its piece from the identity, through which k
+      matrix-vector products chain phi. The steps follow the hardest
+      single piece rather than the whole span, and the integration error
+      does not build up along the span.
+    - vector, otherwise: p = 1 run of k pieces, which carries the N-vector
+      phi itself from theta0, at O(N^2) per right-hand side.
+
+    atol is 1e-13 relative to the largest entry of the start state.
     """
     import scipy.integrate  # only user in the package; kept off the import path
 
@@ -420,63 +421,53 @@ def _integrate_log_distance(
     n = sys.n
     k = max(1, math.ceil(t1 - t0))
     h = (t1 - t0) / k
-    ln2_a = math.log(2.0) * sys.matrices.a_dense()
-    ln2_b = math.log(2.0) * sys.matrices.b_dense()
+    if _batching_pays(sys.matrices, k):
+        p, q, y0, start = k, 1, np.broadcast_to(np.eye(n), (k, n, n)), theta0
+    else:
+        p, q, y0, start = 1, k, theta0.reshape(1, n, 1), np.ones(1)
+    span = q * h  # of one run, in t
+    h_b = math.log(2.0) * sys.matrices.b_dense()
     # the quotient is taken on u / max|u|, so its sums cannot overflow
     u = direction / (float(np.max(np.abs(direction))) or 1.0)
     norm2 = float(u @ u)
-    r = float(u @ ln2_b @ u) / norm2 if norm2 else 0.0
-    if _batching_pays(sys.matrices, k):
-        h_b = h * (ln2_b - r * np.eye(n))
-        h_a = h * ln2_a
-        d_starts = sign * 2.0 ** -(t0 + h * np.arange(k))  # d at each piece's start
+    r = float(u @ h_b @ u) / norm2 if norm2 else 0.0
+    # scaled in place to span (ln2 B - r I) and span ln2 A, the operators
+    # in tau, so no more than two N x N matrices are held at once
+    h_b.flat[:: n + 1] -= r
+    h_b *= span
+    h_a = sys.matrices.a_dense()
+    h_a *= span * math.log(2.0)
+    d_starts = sign * 2.0 ** -(t0 + span * np.arange(p))  # d at each run's start
 
-        def rhs(tau, y):
-            d = d_starts * 2.0 ** (-h * tau)
-            m = h_b - (d / (1.0 + d))[:, None, None] * h_a
-            return (m @ y.reshape(k, n, n)).ravel()
+    # h_a and h_b multiply Y separately: their difference would be an
+    # N x N matrix formed on every right-hand side of the vector shape
+    def rhs(tau, y):
+        y = y.reshape(p, n, -1)
+        d = d_starts * 2.0 ** (-span * tau)
+        return (h_b @ y - (d / (1.0 + d))[:, None, None] * (h_a @ y)).ravel()
 
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            np.tile(np.eye(n).ravel(), k),
-            method="DOP853",
-            t_eval=(1.0,),  # keeps only the end state, not k N^2 floats per step
-            rtol=_INTEGRATION_RTOL,
-            atol=1e-13,
-        )
-        if not sol.success:
-            raise NumericalError(f"integration failed: {sol.message}")
-        phi = np.empty((k + 1, n))
-        phi[0] = theta0
-        for i, propagator in enumerate(sol.y[:, -1].reshape(k, n, n)):
-            phi[i + 1] = propagator @ phi[i]
-    else:
-        scale = float(np.max(np.abs(theta0))) or 1.0
-
-        def rhs(t, phi):
-            d = sign * 2.0**-t
-            return ln2_b @ phi - d / (1.0 + d) * (ln2_a @ phi) - r * phi
-
-        t_eval = t0 + h * np.arange(k + 1)
-        t_eval[-1] = t1  # t0 + k h may round past the end of the span
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            t_span,
-            theta0,
-            method="DOP853",
-            t_eval=t_eval,
-            rtol=_INTEGRATION_RTOL,
-            atol=1e-13 * scale,
-        )
-        if not sol.success:
-            raise NumericalError(f"integration failed: {sol.message}")
-        phi = sol.y.T
-    return phi * np.exp(r * h * np.arange(k + 1))[:, None]
+    sol = scipy.integrate.solve_ivp(
+        rhs,
+        (0.0, 1.0),
+        y0.ravel(),
+        method="DOP853",
+        t_eval=np.arange(1, q + 1) / q,  # the piece ends, not every step
+        rtol=_INTEGRATION_RTOL,
+        atol=1e-13 * (float(np.max(np.abs(y0))) or 1.0),
+    )
+    if not sol.success:
+        raise NumericalError(f"integration failed: {sol.message}")
+    phi = [theta0]
+    for run in np.moveaxis(sol.y.reshape(p, n, -1, q), -1, 1):
+        out = run @ start  # phi at the ends of the run's pieces
+        phi.extend(out)
+        start = out[-1]
+    return np.array(phi) * np.exp(r * h * np.arange(k + 1))[:, None]
 
 
 def _batching_pays(m: LoewnerMatrices, k: int) -> bool:
-    """Whether the k batched propagators cost less than one vector solve.
+    """Whether _integrate_log_distance's batched shape, k propagators, costs
+    less than its vector shape, one N-vector over the span.
 
     A batched step costs O(k N^3) against O(N^2), and the propagators, which
     start at the identity, resolve all N modes, so they need more steps per

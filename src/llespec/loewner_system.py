@@ -2,10 +2,11 @@
 recurrence, for both variants of the evolution.
 
 Matrices are stored as bands; `_dense` writes them into one dense matrix
-for the non-symmetric eigensolver path, the ODE integration and tests. The
-first row of each matrix follows the displayed form verbatim: its
-off-diagonal entry differs from the generic band formula by a factor of 2,
-absorbed by folding the negative mode (theta_{-1} = xi^{+/-1} theta_1).
+(N <= DENSE_LIMIT) for the non-symmetric eigensolver path, the ODE
+integration and tests. The first row of each matrix follows the displayed
+form verbatim: its off-diagonal entry differs from the generic band formula
+by a factor of 2, absorbed by folding the negative mode
+(theta_{-1} = xi^{+/-1} theta_1).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
 
 COEFFICIENT_LIMIT = 512
+
+DENSE_LIMIT = 1 << 12
 
 
 class Variant(enum.Enum):
@@ -90,8 +93,11 @@ def _dense(diag, sub=(), sup=()) -> np.ndarray:
     """The N x N matrix with these bands, in one allocation: each band is
     written through a strided view of the flat matrix. Adding 0.0 turns a
     band's -0.0 into +0.0, so every entry is bitwise what a sum of np.diag
-    matrices gives."""
+    matrices gives. N above DENSE_LIMIT raises CapacityError before any
+    allocation."""
     n = len(diag)
+    if n > DENSE_LIMIT:
+        raise CapacityError(f"dense matrices limited to N <= {DENSE_LIMIT}, got N={n}")
     m = np.zeros((n, n))
     flat = m.reshape(-1)
     np.add(diag, 0.0, out=flat[:: n + 1])

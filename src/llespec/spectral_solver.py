@@ -14,7 +14,7 @@ every off-diagonal product a_n is positive, B is diagonally similar to the
 symmetric tridiagonal matrix with off-diagonals sqrt(a_n) and an
 implicit-shift symmetric solver applies (real output guaranteed). Otherwise
 B, already Hessenberg, goes through a real double-shift QR reduction of the
-dense matrix, for N up to DENSE_EIGEN_LIMIT.
+dense matrix, for N up to loewner_system.DENSE_LIMIT.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, SizeError, ValidationError
+from .errors import NumericalError, SizeError, ValidationError
 from .levy_driver import EtaSequence
 from .loewner_system import (
     CharPolyRecurrence,
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 CLUSTER_TOL = 1e-7
-
-DENSE_EIGEN_LIMIT = 1 << 12
 
 # route 2: Newton's step budget, the certificate's relative half-width
 # delta, and the agreement an uncertified root needs with the eigenvalue
@@ -151,10 +149,6 @@ def _eigenvalues(diag, sub, sup) -> np.ndarray:
         import scipy.linalg  # the one user in the package; kept off the import path
 
         return scipy.linalg.eigvalsh_tridiagonal(diag, np.sqrt(prod)).astype(complex)
-    if n > DENSE_EIGEN_LIMIT:
-        raise CapacityError(
-            f"dense eigensolver limited to N <= {DENSE_EIGEN_LIMIT}, got N={n}"
-        )
     try:
         return np.linalg.eigvals(_dense(diag, sub, sup))
     except np.linalg.LinAlgError as exc:

@@ -138,6 +138,13 @@ class TestValidationExits:
         assert code == 4
         assert "4096" in capsys.readouterr().err
 
+    def test_oversized_dense_integration_is_exit_4(self, capsys):
+        # route 3 integrates with the dense residue matrices, under the
+        # same limit as the dense eigensolver
+        code = main(["fuchs", "--kappa", "1", "--n", "4097"])
+        assert code == 4
+        assert "4096" in capsys.readouterr().err
+
     def test_oversized_sequence_is_exit_4_before_solving(self):
         # every M of kappa = 1 unbounded takes the dense solver; M = 4097 is
         # refused before any of the 4,095 smaller problems is solved

@@ -377,6 +377,7 @@ class TestBlowup:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
         blowup_exponent(_system(eta_sequence(driver, n), n, variant))
         assert nfev and sum(nfev) <= 2000
+        assert len(nfev) == 1  # one solve_ivp call per fit
 
     @pytest.mark.parametrize(
         "driver, n, variant",
@@ -388,14 +389,27 @@ class TestBlowup:
         ids=["unbounded-kappa0.3-8", "bounded-rate3-5", "bounded-rate98.5-14"],
     )
     def test_batched_and_vector_solves_agree(self, monkeypatch, driver, n, variant):
-        # _integrate_log_distance carries theta along the ladder either way
+        # _integrate_log_distance carries theta along the ladder either way,
+        # in one solve_ivp call per fit
+        import scipy.integrate
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
         sys = _system(eta_sequence(driver, n), n, variant)
         fits = []
         for batched in (True, False):
             monkeypatch.setattr(
                 fuchsian_series, "_batching_pays", lambda m, k, b=batched: b
             )
+            calls.clear()
             fits.append(blowup_exponent(sys))
+            assert len(calls) == 1
         np.testing.assert_allclose(fits[0].slopes, fits[1].slopes, rtol=1e-7)
 
     @pytest.mark.parametrize(
@@ -491,10 +505,18 @@ class TestIntegration:
         ],
         ids=["unbounded", "bounded"],
     )
-    def test_n1_closed_form(self, variant, xi0, xi1, exact):
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "vector"])
+    def test_n1_closed_form(self, monkeypatch, variant, xi0, xi1, exact, batched):
+        # each solve shape is forced; N = 1 alone takes the batched one
+        monkeypatch.setattr(fuchsian_series, "_batching_pays", lambda m, k: batched)
         sys = _system(ETA_SLE2, 1, variant)
         got = integrate_system(sys, xi0, np.array([exact(xi0)]), xi1)
         np.testing.assert_allclose(got, [exact(xi1)], rtol=1e-10)
+
+    def test_empty_span_returns_the_start(self):
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        start = np.array([1.0, 0.5])
+        np.testing.assert_array_equal(integrate_system(sys, 0.5, start, 0.5), start)
 
     def test_zero_start_stays_zero(self):
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)

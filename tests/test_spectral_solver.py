@@ -26,8 +26,8 @@ from llespec import (
 from llespec import cli
 from llespec.cli import main
 from llespec.loewner_system import CharPolyRecurrence, LoewnerMatrices, charpoly_eval
+from llespec.loewner_system import DENSE_LIMIT as DENSE_EIGEN_LIMIT
 from llespec.spectral_solver import (
-    DENSE_EIGEN_LIMIT,
     _certified_top_root,
     _cluster,
     _eig_fallback,
