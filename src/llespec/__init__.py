@@ -42,7 +42,6 @@ from .fuchsian_series import (
     blowup_exponent,
     evaluate_theta,
     evaluate_theta_with_tail,
-    integrate_system,
     series_solution,
 )
 from .levy_driver import (
@@ -119,7 +118,6 @@ __all__ = [
     "evaluate_theta_with_tail",
     "gauss_2f1",
     "gauss_at_one",
-    "integrate_system",
     "max_real_root_detailed",
     "perturbed_n6_driver",
     "perturbed_n6_pairs",

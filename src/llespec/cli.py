@@ -221,7 +221,8 @@ def _cmd_beta2(args) -> None:
             "mode": "sequence",
             "beta2": rep.beta2,
             "converged": rep.converged,
-            "convergence_gap": rep.convergence_gap,
+            # None (JSON null) for a one-entry sequence, whose gap is inf
+            "convergence_gap": rows[-1]["gap"],
             "sequence": [[m, v] for m, v in rep.sequence],
             "gaps": [r["gap"] for r in rows[1:]],
         }

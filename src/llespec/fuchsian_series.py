@@ -37,7 +37,7 @@ from .errors import (
     PrecisionError,
     ValidationError,
 )
-from .loewner_system import LoewnerMatrices, Variant
+from .loewner_system import LoewnerMatrices, Variant, _check_dense
 
 __all__ = [
     "FuchsianSystem",
@@ -50,7 +50,6 @@ __all__ = [
     "evaluate_theta_with_tail",
     "angular_mean_rho",
     "blowup_exponent",
-    "integrate_system",
 ]
 
 _PIVOT_TINY = 1e-300
@@ -283,7 +282,9 @@ def blowup_exponent(
     (t0, j_max) falls into unit pieces, whose ends one DOP853 solve
     reaches (see _integrate_log_distance). No distance is formed by
     cancellation, so the ladder holds to the double-precision limit
-    j_max = 52, and j_min costs no series terms.
+    j_max = 52, and j_min costs no series terms. The integration uses the
+    dense residue matrices, so N above loewner_system.DENSE_LIMIT raises
+    CapacityError before the series is summed.
 
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
@@ -291,8 +292,8 @@ def blowup_exponent(
     Aitken limit of the last three slopes.
     """
     ladder = ladder or GeometricLadder()
-    unbounded = sys.variant is Variant.UNBOUNDED
-    sign, xi0, t0 = (-1.0, 0.5, 1) if unbounded else (1.0, 2.0, 0)
+    _check_dense(sys.n)
+    xi0, t0 = (0.5, 1) if sys.variant is Variant.UNBOUNDED else (2.0, 0)
     k_terms, tail, scale = 32, math.inf, 1.0  # the first pass takes 64 terms
     while tail > 2.0**-53 * scale and k_terms < SERIES_TERM_LIMIT:
         k_terms *= 2
@@ -310,7 +311,7 @@ def blowup_exponent(
     # at theta(1/2) is too far off and costs a deep ladder digits
     c = series.coefficients[series.coefficients.any(axis=1)]
     # row i of the chain is theta at t = t0 + i
-    chain = _integrate_log_distance(sys, sign, (t0, ladder.j_max), theta, c[-1])
+    chain = _integrate_log_distance(sys, t0, ladder.j_max, theta, c[-1])
     thetas = chain[ladder.j_min - t0 :]
     points = ladder.points(sys.variant)
     xs = [_local_argument(sys.variant, xi) for xi in points]
@@ -338,57 +339,20 @@ def blowup_exponent(
     )
 
 
-def integrate_system(
-    sys: FuchsianSystem,
-    xi0: float,
-    theta0: np.ndarray,
-    xi1: float,
-) -> np.ndarray:
-    """Adaptive integration of theta' = A theta / xi - B theta / (xi - 1)
-    from xi0 to xi1 with DOP853, carried out in the log-distance
-    t = -log2|1 - xi| as blowup_exponent's ladder is.
-
-    The path must approach xi = 1 (|1 - xi1| <= |1 - xi0|): away from it
-    the solutions singular at xi = 0 or infinity grow and swamp the
-    analytic one, and the result would be wrong without a sign of it.
-    The span is cut into pieces at most one unit of t long (see
-    _integrate_log_distance). An exact integrating factor removes theta's
-    dominant growth or decay toward xi = 1, so a solution that decays along
-    the path keeps its relative accuracy.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (sys.n,) or not np.all(np.isfinite(theta0)):
-        raise DomainError(f"theta0 must be a finite vector of length {sys.n}")
-    if xi0 <= 0 or xi1 <= 0:
-        raise DomainError("integration requires positive xi")
-    for x in (xi0, xi1):
-        if x == 1.0:
-            raise DomainError("xi = 1 is a singular point")
-    if (xi0 - 1.0) * (xi1 - 1.0) < 0:
-        raise DomainError("integration path must not cross xi = 1")
-    if abs(1.0 - xi1) > abs(1.0 - xi0):
-        raise DomainError(
-            f"integration from xi={xi0} to xi={xi1} moves away from xi = 1; "
-            "the analytic solution would be swamped"
-        )
-    sign = 1.0 if xi0 > 1.0 else -1.0
-    t_span = tuple(-math.log2(abs(1.0 - x)) for x in (xi0, xi1))
-    return _integrate_log_distance(sys, sign, t_span, theta0, theta0)[-1]
-
-
 def _integrate_log_distance(
     sys: FuchsianSystem,
-    sign: float,
-    t_span: tuple[float, float],
+    t0: int,
+    t1: int,
     theta0: np.ndarray,
     direction: np.ndarray,
 ) -> np.ndarray:
-    """theta on the side xi = 1 + sign * 2^-t of the singular point at the
-    k + 1 points s_i = t0 + i h, h = (t1 - t0) / k, that cut t_span into
-    k = ceil(t1 - t0) equal pieces (unit pieces when t0 and t1 are
-    integers, as on the ladder); row i is theta(s_i), row 0 is theta0.
+    """theta at the integers t = t0..t1, t0 < t1, of the log-distance
+    t = -log2|1 - xi| on the variant's side of the singular point,
+    xi = 1 - 2^-t (unbounded) or 1 + 2^-t (bounded); row i is
+    theta(t0 + i), row 0 is theta0. The span falls into k = t1 - t0 unit
+    pieces.
 
-    With d = sign * 2^-t the system reads
+    With d = -/+ 2^-t on that side the system reads
     dtheta/dt = ln2 [B theta - d / (1 + d) A theta]; d is exact in t, so
     theta is carried as close to xi = 1 as 2^-t resolves.
 
@@ -396,7 +360,7 @@ def _integrate_log_distance(
     2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
     r = u' (ln2 B) u / u' u (0 for a zero u), the Rayleigh quotient of
     ln2 B at u = direction; the change of variables is exact, and row i is
-    scaled back by e^(r (s_i - t0)).
+    scaled back by e^(r i).
 
     One DOP853 solve integrates p runs of q consecutive pieces each, all
     in one local time tau in [0, 1], and keeps each run's state at the
@@ -417,33 +381,32 @@ def _integrate_log_distance(
     """
     import scipy.integrate  # only user in the package; kept off the import path
 
-    t0, t1 = t_span
     n = sys.n
-    k = max(1, math.ceil(t1 - t0))
-    h = (t1 - t0) / k
+    k = t1 - t0
     if _batching_pays(sys.matrices, k):
         p, q, y0, start = k, 1, np.broadcast_to(np.eye(n), (k, n, n)), theta0
     else:
         p, q, y0, start = 1, k, theta0.reshape(1, n, 1), np.ones(1)
-    span = q * h  # of one run, in t
+    sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
     h_b = math.log(2.0) * sys.matrices.b_dense()
     # the quotient is taken on u / max|u|, so its sums cannot overflow
     u = direction / (float(np.max(np.abs(direction))) or 1.0)
     norm2 = float(u @ u)
     r = float(u @ h_b @ u) / norm2 if norm2 else 0.0
-    # scaled in place to span (ln2 B - r I) and span ln2 A, the operators
-    # in tau, so no more than two N x N matrices are held at once
+    # scaled in place to q (ln2 B - r I) and q ln2 A, the operators in tau
+    # over a run's q units of t, so no more than two N x N matrices are
+    # held at once
     h_b.flat[:: n + 1] -= r
-    h_b *= span
+    h_b *= q
     h_a = sys.matrices.a_dense()
-    h_a *= span * math.log(2.0)
-    d_starts = sign * 2.0 ** -(t0 + span * np.arange(p))  # d at each run's start
+    h_a *= q * math.log(2.0)
+    d_starts = sign * 2.0 ** -(t0 + q * np.arange(p))  # d at each run's start
 
     # h_a and h_b multiply Y separately: their difference would be an
     # N x N matrix formed on every right-hand side of the vector shape
     def rhs(tau, y):
         y = y.reshape(p, n, -1)
-        d = d_starts * 2.0 ** (-span * tau)
+        d = d_starts * 2.0 ** (-q * tau)
         return (h_b @ y - (d / (1.0 + d))[:, None, None] * (h_a @ y)).ravel()
 
     sol = scipy.integrate.solve_ivp(
@@ -462,7 +425,7 @@ def _integrate_log_distance(
         out = run @ start  # phi at the ends of the run's pieces
         phi.extend(out)
         start = out[-1]
-    return np.array(phi) * np.exp(r * h * np.arange(k + 1))[:, None]
+    return np.array(phi) * np.exp(r * np.arange(k + 1))[:, None]
 
 
 def _batching_pays(m: LoewnerMatrices, k: int) -> bool:

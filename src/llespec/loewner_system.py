@@ -89,6 +89,11 @@ class LoewnerMatrices:
         return _dense(self.a_diag, sub=self.a_off)
 
 
+def _check_dense(n: int) -> None:
+    if n > DENSE_LIMIT:
+        raise CapacityError(f"dense matrices limited to N <= {DENSE_LIMIT}, got N={n}")
+
+
 def _dense(diag, sub=(), sup=()) -> np.ndarray:
     """The N x N matrix with these bands, in one allocation: each band is
     written through a strided view of the flat matrix. Adding 0.0 turns a
@@ -96,8 +101,7 @@ def _dense(diag, sub=(), sup=()) -> np.ndarray:
     matrices gives. N above DENSE_LIMIT raises CapacityError before any
     allocation."""
     n = len(diag)
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"dense matrices limited to N <= {DENSE_LIMIT}, got N={n}")
+    _check_dense(n)
     m = np.zeros((n, n))
     flat = m.reshape(-1)
     np.add(diag, 0.0, out=flat[:: n + 1])

@@ -82,6 +82,44 @@ class TestEtaCommand:
         assert vals[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("eta", "--kappa", "2", "--n-max", "4"),
+            ("spectrum", "--kappa", "2", "--n", "4"),
+            ("beta2", "--kappa", "2"),
+            # a one-entry sequence has no gap: null, not Infinity
+            ("beta2", "--kappa", "0.3", "--m-max", "2"),
+            ("fuchs", "--kappa", "2", "--n", "2"),
+            ("theorem1", "--eta1", "1"),
+            ("ple-curve", "--lambdas", "1,1.5", "--m-max", "8"),
+            ("sle-converge", "--kappa", "0.3", "--m-max", "2"),
+            ("perturbation",),
+        ],
+        ids=lambda args: "-".join(args),
+    )
+    def test_every_command_emits_strict_json(self, capsys, args):
+        # NaN and Infinity, which json.dumps writes by default, are refused
+        code, text = run_main(capsys, *args, "--json")
+        assert code == 0
+        json.loads(text, parse_constant=_refuse_constant)
+
+    def test_one_entry_sequence_gap_is_null(self, capsys):
+        code, text = run_main(
+            capsys, "beta2", "--kappa", "0.3", "--m-max", "2", "--json"
+        )
+        assert code == 0
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert doc["convergence_gap"] is None and doc["gaps"] == []
+        rep = beta2(eta_sequence(LevyDriver(kappa=0.3), 2), Variant.UNBOUNDED, 2)
+        assert rep.convergence_gap == math.inf
+
+
 class TestValidationExits:
     def test_missing_source(self):
         code, _, err = run_cli("beta2")

@@ -23,7 +23,6 @@ from llespec import (
     eta_sequence,
     evaluate_theta,
     evaluate_theta_with_tail,
-    integrate_system,
     perturbed_n6_driver,
     series_solution,
     validate_eta,
@@ -31,7 +30,7 @@ from llespec import (
 from llespec import fuchsian_series
 from llespec.closed_forms import truncated_sle_spectrum
 from llespec.fuchsian_series import SERIES_TERM_LIMIT
-from llespec.loewner_system import LoewnerMatrices
+from llespec.loewner_system import DENSE_LIMIT, LoewnerMatrices
 from tests.conftest import random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
@@ -448,6 +447,18 @@ class TestBlowup:
         top = max(truncated_sle_spectrum(n, Variant.UNBOUNDED))
         assert abs(fit.beta_est - top) < 1e-6
 
+    def test_oversized_system_refused_before_the_series(self, monkeypatch):
+        # the integration needs the dense residue matrices, so N above their
+        # limit is refused before any series term is computed
+        def no_series(*args):
+            raise AssertionError("series summed for an oversized system")
+
+        monkeypatch.setattr(fuchsian_series, "series_solution", no_series)
+        n = DENSE_LIMIT + 1
+        sys = _system(eta_sequence(LevyDriver(kappa=1.0), n), n, Variant.UNBOUNDED)
+        with pytest.raises(CapacityError, match=f"N <= {DENSE_LIMIT}, got N={n}$"):
+            blowup_exponent(sys)
+
     def test_far_ladder_start_matches_eigenvalue(self):
         # the series is summed at x = 1/2 whatever the ladder, so a ladder
         # starting at 2^-20 from xi = 1 costs no extra series terms
@@ -463,110 +474,85 @@ class TestBlowup:
 
 
 class TestIntegration:
+    # _integrate_log_distance carries theta from t0 to t1 in unit pieces of
+    # t = -log2|1 - xi|, on the side of xi = 1 that the variant evaluates
+
+    @staticmethod
+    def _xi(variant, t):
+        sign = -1.0 if variant is Variant.UNBOUNDED else 1.0
+        return 1.0 + sign * 2.0**-t
+
+    def _check_series_rows(self, sys, t0, t1):
+        # every row of the chain against the series, where its tail is
+        # below 1e-14 of theta
+        series = series_solution(sys, 4000)
+        start = evaluate_theta(series, self._xi(sys.variant, t0))
+        chain = fuchsian_series._integrate_log_distance(sys, t0, t1, start, start)
+        assert chain.shape == (t1 - t0 + 1, sys.n)
+        for t, got in zip(range(t0, t1 + 1), chain):
+            want, tail = evaluate_theta_with_tail(series, self._xi(sys.variant, t))
+            assert tail < 1e-14 * np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=1e-8)
+
     def test_matches_series_unbounded(self):
-        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
-        series = series_solution(sys, 2000)
-        start = evaluate_theta(series, 0.01)
-        got = integrate_system(sys, 0.01, start, 0.5)
-        np.testing.assert_allclose(got, evaluate_theta(series, 0.5), rtol=1e-8)
+        self._check_series_rows(_system(ETA_SLE2, 2, Variant.UNBOUNDED), 1, 5)
 
     def test_matches_series_bounded(self):
-        sys = _system(ETA_PLE1, 3, Variant.BOUNDED)
-        series = series_solution(sys, 2000)
-        start = evaluate_theta(series, 50.0)
-        got = integrate_system(sys, 50.0, start, 1.5)
-        np.testing.assert_allclose(got, evaluate_theta(series, 1.5), rtol=1e-7)
+        self._check_series_rows(_system(ETA_PLE1, 3, Variant.BOUNDED), 0, 6)
 
     @pytest.mark.parametrize(
-        "variant, xi0, xi1",
+        "variant, t0, t1",
         [
-            (Variant.UNBOUNDED, 0.5, 0.6),  # t from 1 to 1.32: one short piece
-            (Variant.BOUNDED, 2.0, 1.7),
-            (Variant.UNBOUNDED, 0.3, 0.97),  # t from 0.51 to 5.06: 5 pieces
-            (Variant.BOUNDED, 4.0, 1.03),  # t from -1.58 to 5.06: 7 pieces
+            (Variant.UNBOUNDED, 2, 3),  # one piece: the vector solve
+            (Variant.BOUNDED, 1, 2),
+            (Variant.UNBOUNDED, 1, 6),  # 5 pieces, batched
+            (Variant.BOUNDED, -1, 6),  # 7 pieces from xi = 3, batched
         ],
         ids=["unbounded-short", "bounded-short", "unbounded-5", "bounded-7"],
     )
-    def test_matches_series_off_the_unit_grid(self, variant, xi0, xi1):
+    def test_matches_series_off_the_unit_grid(self, variant, t0, t1):
+        # spans of one to seven unit pieces, on a system whose series needs
+        # thousands of terms this close to xi = 1
         sys = _system(eta_sequence(LevyDriver(kappa=0.3), 6), 6, variant)
-        series = series_solution(sys, 4000)
-        want, tail = evaluate_theta_with_tail(series, xi1)
-        assert tail < 1e-14 * np.max(np.abs(want))
-        got = integrate_system(sys, xi0, evaluate_theta(series, xi0), xi1)
-        np.testing.assert_allclose(got, want, rtol=1e-8)
+        self._check_series_rows(sys, t0, t1)
 
     @pytest.mark.parametrize(
-        "variant, xi0, xi1, exact",
+        "variant, t0, exact",
         [
             # B = [3], A = [0]: theta = (1 - xi)^-3 grows by 2^147
-            (Variant.UNBOUNDED, 0.5, 1 - 2.0**-50, lambda xi: (1 - xi) ** -3),
-            # A = B = [-1]: theta = (xi - 1) / xi shrinks by 2^-49
-            (Variant.BOUNDED, 2.0, 1 + 2.0**-50, lambda xi: (xi - 1) / xi),
+            (Variant.UNBOUNDED, 1, lambda xi: (1 - xi) ** -3),
+            # A = B = [-1]: theta = (xi - 1) / xi shrinks by 2^-50
+            (Variant.BOUNDED, 0, lambda xi: (xi - 1) / xi),
         ],
         ids=["unbounded", "bounded"],
     )
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "vector"])
-    def test_n1_closed_form(self, monkeypatch, variant, xi0, xi1, exact, batched):
+    def test_n1_closed_form(self, monkeypatch, variant, t0, exact, batched):
         # each solve shape is forced; N = 1 alone takes the batched one
         monkeypatch.setattr(fuchsian_series, "_batching_pays", lambda m, k: batched)
         sys = _system(ETA_SLE2, 1, variant)
-        got = integrate_system(sys, xi0, np.array([exact(xi0)]), xi1)
-        np.testing.assert_allclose(got, [exact(xi1)], rtol=1e-10)
-
-    def test_empty_span_returns_the_start(self):
-        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
-        start = np.array([1.0, 0.5])
-        np.testing.assert_array_equal(integrate_system(sys, 0.5, start, 0.5), start)
+        start = np.array([exact(self._xi(variant, t0))])
+        got = fuchsian_series._integrate_log_distance(sys, t0, 50, start, start)
+        want = [[exact(self._xi(variant, t))] for t in range(t0, 51)]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_zero_start_stays_zero(self):
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = integrate_system(sys, 0.5, np.zeros(2), 1 - 2.0**-10)
-        np.testing.assert_array_equal(got, np.zeros(2))
+            got = fuchsian_series._integrate_log_distance(
+                sys, 1, 10, np.zeros(2), np.zeros(2)
+            )
+        np.testing.assert_array_equal(got, np.zeros((10, 2)))
 
     def test_huge_start_scales_linearly(self):
-        # the integrating factor's rate is taken on a scaled theta0, so it
+        # the integrating factor's rate is taken on a scaled direction, so it
         # cannot overflow where theta0 itself does not
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
         start = np.array([1.0, 0.5])
-        got = integrate_system(sys, 0.5, 1e160 * start, 0.9)
-        np.testing.assert_allclose(got, 1e160 * integrate_system(sys, 0.5, start, 0.9))
-
-    def test_refuses_to_move_away_unbounded(self):
-        # toward xi = 0 the solutions singular there swamp the analytic one
-        sys = _system(eta_sequence(LevyDriver(kappa=0.3), 6), 6, Variant.UNBOUNDED)
-        start = evaluate_theta(series_solution(sys, 2000), 0.5)
-        with pytest.raises(DomainError, match="away from xi = 1"):
-            integrate_system(sys, 0.5, start, 0.01)
-
-    def test_refuses_to_move_away_bounded(self):
-        sys = _system(ETA_PLE1, 3, Variant.BOUNDED)
-        start = evaluate_theta(series_solution(sys, 2000), 1.5)
-        with pytest.raises(DomainError, match="away from xi = 1"):
-            integrate_system(sys, 1.5, start, 1e6)
-
-    @pytest.mark.parametrize(
-        "theta0",
-        [[np.nan, 1.0], [np.inf, 1.0], [1.0], [1.0, 1.0, 1.0]],
-        ids=["nan", "inf", "short", "long"],
-    )
-    def test_rejects_bad_start(self, theta0):
-        # refused before scipy sees it, with no RuntimeWarning on the way
-        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="theta0"):
-                integrate_system(sys, 0.5, np.array(theta0), 0.9)
-
-    def test_cannot_cross_singularity(self):
-        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
-        with pytest.raises(DomainError):
-            integrate_system(sys, 0.5, np.array([1.0, -1.0]), 1.5)
-        with pytest.raises(DomainError):
-            integrate_system(sys, 1.0, np.array([1.0, -1.0]), 0.5)
-        with pytest.raises(DomainError):
-            integrate_system(sys, -0.5, np.array([1.0, -1.0]), 0.5)
+        integrate = fuchsian_series._integrate_log_distance
+        got = integrate(sys, 1, 4, 1e160 * start, 1e160 * start)
+        np.testing.assert_allclose(got, 1e160 * integrate(sys, 1, 4, start, start))
 
 
 def test_formal_eta_supported():

@@ -28,7 +28,7 @@ def test_all_is_the_union_of_the_module_surfaces():
         closed_forms, fuchsian_series, levy_driver, loewner_system, spectral_solver
     )
     union = error_names.union(*(m.__all__ for m in modules))
-    assert len(llespec.__all__) == len(set(llespec.__all__)) == 53
+    assert len(llespec.__all__) == len(set(llespec.__all__)) == 52
     assert set(llespec.__all__) == union
     for name in llespec.__all__:
         assert hasattr(llespec, name), name
