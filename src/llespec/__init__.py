@@ -7,124 +7,33 @@ largest real root of its characteristic polynomial, and a direct fit of
 the blowup exponent of the angular second moment near the unit circle.
 """
 
-from .closed_forms import (
-    BETA_SUP,
-    HypergeometricParams,
-    Theorem1Values,
-    beta2_unbounded_n2,
-    gauss_2f1,
-    gauss_at_one,
-    perturbed_n6_driver,
-    perturbed_n6_pairs,
-    theorem1_solution,
-    truncated_sle_spectrum,
+from . import (
+    closed_forms,
+    errors,
+    fuchsian_series,
+    levy_driver,
+    loewner_system,
+    spectral_solver,
 )
-from .errors import (
-    CapacityError,
-    DegeneracyError,
-    DomainError,
-    LLESpecError,
-    NumericalError,
-    PoleError,
-    PrecisionError,
-    RealizabilityWarning,
-    SizeError,
-    TruncationNearMissWarning,
-    ValidationError,
-)
-from .fuchsian_series import (
-    BlowupFit,
-    FuchsianSystem,
-    GeometricLadder,
-    ThetaSeries,
-    analytic_null_vector,
-    angular_mean_rho,
-    blowup_exponent,
-    evaluate_theta,
-    evaluate_theta_with_tail,
-    series_solution,
-)
-from .levy_driver import (
-    EtaSequence,
-    LevyDriver,
-    driver_from_dict,
-    eta_from_json_file,
-    eta_sequence,
-    validate_eta,
-)
-from .loewner_system import (
-    CharPolyRecurrence,
-    LoewnerMatrices,
-    Variant,
-    build_matrices,
-    charpoly_coefficients,
-    charpoly_eval,
-    recurrence_coefficients,
-    truncation_order,
-)
-from .spectral_solver import (
-    Beta2Report,
-    MaxRealRoot,
-    SpectrumResult,
-    beta2,
-    descartes_positive_count,
-    eigen_spectrum,
-    max_real_root_detailed,
-)
+from .closed_forms import *
+from .errors import *
+from .fuchsian_series import *
+from .levy_driver import *
+from .loewner_system import *
+from .spectral_solver import *
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its module's __all__
 __all__ = [
-    "BETA_SUP",
-    "Beta2Report",
-    "BlowupFit",
-    "CapacityError",
-    "CharPolyRecurrence",
-    "DegeneracyError",
-    "DomainError",
-    "EtaSequence",
-    "FuchsianSystem",
-    "GeometricLadder",
-    "HypergeometricParams",
-    "LLESpecError",
-    "LevyDriver",
-    "LoewnerMatrices",
-    "MaxRealRoot",
-    "NumericalError",
-    "PoleError",
-    "PrecisionError",
-    "RealizabilityWarning",
-    "SizeError",
-    "SpectrumResult",
-    "Theorem1Values",
-    "ThetaSeries",
-    "TruncationNearMissWarning",
-    "ValidationError",
-    "Variant",
-    "analytic_null_vector",
-    "angular_mean_rho",
-    "beta2",
-    "beta2_unbounded_n2",
-    "blowup_exponent",
-    "build_matrices",
-    "charpoly_coefficients",
-    "charpoly_eval",
-    "descartes_positive_count",
-    "driver_from_dict",
-    "eigen_spectrum",
-    "eta_from_json_file",
-    "eta_sequence",
-    "evaluate_theta",
-    "evaluate_theta_with_tail",
-    "gauss_2f1",
-    "gauss_at_one",
-    "max_real_root_detailed",
-    "perturbed_n6_driver",
-    "perturbed_n6_pairs",
-    "recurrence_coefficients",
-    "series_solution",
-    "theorem1_solution",
-    "truncated_sle_spectrum",
-    "truncation_order",
-    "validate_eta",
+    name
+    for module in (
+        closed_forms,
+        errors,
+        fuchsian_series,
+        levy_driver,
+        loewner_system,
+        spectral_solver,
+    )
+    for name in module.__all__
 ]

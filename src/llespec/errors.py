@@ -4,6 +4,20 @@ Exit code convention: 0 success, 2 input validation, 3 numerical failure,
 4 capacity.
 """
 
+__all__ = [
+    "LLESpecError",
+    "ValidationError",
+    "DomainError",
+    "SizeError",
+    "PoleError",
+    "NumericalError",
+    "PrecisionError",
+    "DegeneracyError",
+    "CapacityError",
+    "RealizabilityWarning",
+    "TruncationNearMissWarning",
+]
+
 
 class LLESpecError(Exception):
     """Base class for all errors raised by this package."""

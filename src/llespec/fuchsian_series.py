@@ -111,13 +111,16 @@ def _local_bands(m: LoewnerMatrices):
     """Bands of the system in x: ((diag, sub) of A0, (diag, super) of A0 - B).
 
     A0 = A (unbounded) or B - A (bounded) is lower bidiagonal, and A0 - B,
-    which is A - B or -A, upper bidiagonal: A's off-diagonal and the
-    matching one of B are the same expression, so they cancel exactly and
-    the cancelled band is not formed.
+    which is A - B or -A, upper bidiagonal. A shares its off-diagonal with
+    B, which stores it once, so in both variants A0's subdiagonal is B's,
+    A0 - B's superdiagonal is minus B's, and the band that cancels is never
+    formed.
     """
     if m.variant is Variant.UNBOUNDED:
-        return (m.a_diag, m.a_off), (m.a_diag - m.b_diag, -m.b_super)
-    return (m.b_diag - m.a_diag, m.b_sub), (-m.a_diag, -m.a_off)
+        diag_a0, diag_a0_b = m.a_diag, m.a_diag - m.b_diag
+    else:
+        diag_a0, diag_a0_b = m.b_diag - m.a_diag, -m.a_diag
+    return (diag_a0, m.b_sub), (diag_a0_b, -m.b_super)
 
 
 def analytic_null_vector(m: LoewnerMatrices) -> np.ndarray:

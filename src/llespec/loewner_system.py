@@ -67,18 +67,22 @@ class Variant(enum.Enum):
 class LoewnerMatrices:
     """Bands of the residue matrices A (bidiagonal) and B (tridiagonal).
 
-    A is lower bidiagonal for UNBOUNDED (a_off = subdiagonal) and upper
-    bidiagonal for BOUNDED (a_off = superdiagonal). Band lengths: diagonals N,
-    off-diagonals N-1.
+    A is lower bidiagonal for UNBOUNDED and upper bidiagonal for BOUNDED, and
+    its off-diagonal is B's band on the same side (the same expression of
+    eta), so it is stored once, in B: a_off reads b_sub (UNBOUNDED) or
+    b_super (BOUNDED). Band lengths: diagonals N, off-diagonals N-1.
     """
 
     variant: Variant
     n: int
     a_diag: np.ndarray
-    a_off: np.ndarray
     b_sub: np.ndarray
     b_diag: np.ndarray
     b_super: np.ndarray
+
+    @property
+    def a_off(self) -> np.ndarray:
+        return self.b_super if self.variant is Variant.BOUNDED else self.b_sub
 
     def b_dense(self) -> np.ndarray:
         return _dense(self.b_diag, self.b_sub, self.b_super)
@@ -130,7 +134,6 @@ def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrice
         )
         b_sub = np.array([(e[i] - i - 2) / 2 for i in range(1, n)])
         a_diag = np.array([-(e[i] + i) / 2 for i in range(n)])
-        a_off = np.array([(e[i] - i - 2) / 2 for i in range(1, n)])  # subdiagonal
     else:
         b_diag = np.array([-e[i] - 1.0 for i in range(n)])
         # first-row entry 2 verbatim; generic (e+i+2)/2 from i >= 1
@@ -139,14 +142,10 @@ def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrice
         )
         b_sub = np.array([(e[i] + 2 - i) / 2 for i in range(1, n)])
         a_diag = np.array([-(e[i] + 2 - i) / 2 for i in range(n)])
-        a_off = np.array(
-            [2.0 if i == 0 else (e[i] + i + 2) / 2 for i in range(n - 1)]
-        )  # superdiagonal
     return LoewnerMatrices(
         variant=variant,
         n=n,
         a_diag=a_diag,
-        a_off=a_off,
         b_sub=b_sub,
         b_diag=b_diag,
         b_super=b_super,

@@ -82,7 +82,6 @@ class TestNullVector:
             variant=m.variant,
             n=m.n,
             a_diag=np.array([0.0, 0.0, -2.5]),  # zero pivot at row 1
-            a_off=m.a_off,
             b_sub=m.b_sub,
             b_diag=m.b_diag,
             b_super=m.b_super,

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from llespec import (
     CapacityError,
     LevyDriver,
+    LoewnerMatrices,
     SizeError,
     TruncationNearMissWarning,
     Variant,
@@ -72,6 +74,16 @@ class TestMatrixExamples:
             want = np.diag(diag)
             want += np.diag(sup, 1) + np.diag(sub, -1)
             assert _dense(diag, sub, sup).tobytes() == want.tobytes()
+
+    def test_a_off_is_stored_once_in_b(self):
+        # A's off-diagonal is B's band on the same side, so no LoewnerMatrices
+        # can hold an A and a B that disagree on it
+        fields = {f.name for f in dataclasses.fields(LoewnerMatrices)}
+        assert fields == {"variant", "n", "a_diag", "b_sub", "b_diag", "b_super"}
+        unb = build_matrices(ETA_SLE2, 5, Variant.UNBOUNDED)
+        bnd = build_matrices(ETA_PLE1, 5, Variant.BOUNDED)
+        assert unb.a_off is unb.b_sub
+        assert bnd.a_off is bnd.b_super
 
     def test_needs_eta_coverage(self):
         short = validate_eta((1.0, 4.0))

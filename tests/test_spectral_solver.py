@@ -84,11 +84,10 @@ def _resonant_all_pairs(centers, tol):
 
 
 def _block_diagonal(diag, sub, sup):
-    """LoewnerMatrices whose B has these bands (A is zero)."""
+    """LoewnerMatrices whose B has these bands (A's diagonal is zero)."""
     n = len(diag)
-    zero = np.zeros(n)
     return LoewnerMatrices(
-        Variant.UNBOUNDED, n, zero, zero[:-1],
+        Variant.UNBOUNDED, n, np.zeros(n),
         np.array(sub, dtype=float), np.array(diag, dtype=float),
         np.array(sup, dtype=float),
     )

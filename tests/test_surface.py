@@ -17,21 +17,39 @@ from llespec import (
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
+MODULES = (
+    closed_forms, errors, fuchsian_series, levy_driver, loewner_system, spectral_solver
+)
+
+
 def test_all_is_the_union_of_the_module_surfaces():
-    # errors.py has no __all__: its surface is the classes it defines
-    error_names = {
+    union = set().union(*(m.__all__ for m in MODULES))
+    assert len(llespec.__all__) == len(set(llespec.__all__)) == 52
+    assert set(llespec.__all__) == union
+
+
+def test_module_surfaces_are_disjoint():
+    # a star re-export would let a later module silently shadow an earlier name
+    for i, first in enumerate(MODULES):
+        for second in MODULES[i + 1 :]:
+            shared = set(first.__all__) & set(second.__all__)
+            assert not shared, (first.__name__, second.__name__, shared)
+
+
+def test_every_name_is_its_defining_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(llespec, name) is getattr(module, name), name
+
+
+def test_errors_all_is_the_classes_it_defines():
+    defined = {
         name
         for name, obj in vars(errors).items()
         if inspect.isclass(obj) and obj.__module__ == errors.__name__
     }
-    modules = (
-        closed_forms, fuchsian_series, levy_driver, loewner_system, spectral_solver
-    )
-    union = error_names.union(*(m.__all__ for m in modules))
-    assert len(llespec.__all__) == len(set(llespec.__all__)) == 52
-    assert set(llespec.__all__) == union
-    for name in llespec.__all__:
-        assert hasattr(llespec, name), name
+    assert len(errors.__all__) == len(set(errors.__all__))
+    assert set(errors.__all__) == defined
 
 
 def _load_spans():
