@@ -19,7 +19,7 @@ from .closed_forms import (
     perturbed_n6_pairs,
     theorem1_solution,
 )
-from .errors import LLESpecError, ValidationError
+from .errors import LLESpecError, NumericalError, ValidationError
 from .fuchsian_series import FuchsianSystem, GeometricLadder, blowup_exponent
 from .levy_driver import (
     LevyDriver,
@@ -60,7 +60,11 @@ def _render_csv(rows: list[dict]) -> str:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    # strict RFC 8259: a NaN or infinity is a failure, not a bare token
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"result is not finite: {exc}") from exc
 
 
 def _render_human(payload: dict, rows: list[dict]) -> str:
@@ -82,10 +86,6 @@ def _render_human(payload: dict, rows: list[dict]) -> str:
 
 
 def _emit(args, payload: dict, rows: list[dict]) -> None:
-    if args.json and args.csv:
-        raise ValidationError("choose one output format, --json or --csv")
-    if args.out and not (args.json or args.csv):
-        raise ValidationError("--out requires --json or --csv")
     if args.json:
         text = _render_json(payload)
     elif args.csv:
@@ -465,6 +465,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command has the output flags: refuse a conflict before work
+        if args.json and args.csv:
+            raise ValidationError("choose one output format, --json or --csv")
+        if args.out and not (args.json or args.csv):
+            raise ValidationError("--out requires --json or --csv")
         args.func(args)
     except LLESpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

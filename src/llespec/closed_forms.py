@@ -52,6 +52,10 @@ def beta2_unbounded_n2(eta1: float) -> float:
     """beta(2) of the unbounded N=2 system, (6 - eta_1 + sqrt(eta_1^2 -
     4 eta_1 + 12)) / 2; the caller guarantees eta_2 = 4.
 
+    Evaluated as 2 + 4 / (hypot(eta_1 - 2, sqrt(8)) + eta_1 - 2), equal in
+    exact arithmetic, whose denominator is >= 1.46 for eta_1 >= 0: nothing
+    cancels where the form above does (it reads 2.0 at eta_1 = 1e12).
+
     Output lies in (2, 3 + sqrt(3)] for eta_1 >= 0. eta_1 = 0 is a formal
     endpoint: no driver realizes it (eta_2 = 4 > 4 eta_1).
     """
@@ -63,7 +67,7 @@ def beta2_unbounded_n2(eta1: float) -> float:
             RealizabilityWarning,
             stacklevel=2,
         )
-    return (6.0 - eta1 + math.sqrt(eta1 * eta1 - 4.0 * eta1 + 12.0)) / 2.0
+    return 2.0 + 4.0 / (math.hypot(eta1 - 2.0, math.sqrt(8.0)) + eta1 - 2.0)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ in the log-distance t = -log2|1 - xi|, where the ladder points are the
 integers t = j and the distance 2^-t is never formed by cancellation, so
 the ladder reaches the double-precision limit j_max = 52, in one adaptive
 solve (see _integrate_log_distance for its two shapes). There theta grows
-like 2^(beta t); the integrator carries an integrating factor e^(-r t)
-that takes most of that growth out.
+like 2^(beta t); an integrating factor e^(-r t), with r read off the
+series' coefficient growth, takes most of that growth out.
 """
 
 from __future__ import annotations
@@ -289,6 +289,10 @@ def blowup_exponent(
     dense residue matrices, so N above loewner_system.DENSE_LIMIT raises
     CapacityError before the series is summed.
 
+    The integrating factor's rate r, near beta ln2, comes from the same
+    series: |c_k| ~ k^(beta - 1), so over its nonzero rows c, with
+    K = len(c) - 1, r = ln2 + ln(max|c_K| / max|c_{K//2}|).
+
     The local slope between consecutive points is
     log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
     mean growing toward xi = 1 yields a positive exponent; beta_est is the
@@ -309,12 +313,12 @@ def blowup_exponent(
         raise PrecisionError(
             f"series tail {tail / scale:.2e} > {_TAIL_GATE:.0e} at {k_terms} terms"
         )
-    # c_k ~ k^(beta - 1) v, with v theta's direction at xi = 1, so the last
-    # nonzero c_k gives the integrating factor a rate near beta ln2; the rate
-    # at theta(1/2) is too far off and costs a deep ladder digits
-    c = series.coefficients[series.coefficients.any(axis=1)]
+    c = np.abs(series.coefficients[series.coefficients.any(axis=1)]).max(axis=1)
+    r = math.log(2.0) + math.log(c[-1]) - math.log(c[(len(c) - 1) // 2])
     # row i of the chain is theta at t = t0 + i
-    chain = _integrate_log_distance(sys, t0, ladder.j_max, theta, c[-1])
+    chain = _integrate_log_distance(sys, t0, ladder.j_max, theta, r)
+    if not np.all(np.isfinite(chain)):
+        raise NumericalError("integration along the ladder left finite range")
     thetas = chain[ladder.j_min - t0 :]
     points = ladder.points(sys.variant)
     xs = [_local_argument(sys.variant, xi) for xi in points]
@@ -347,7 +351,7 @@ def _integrate_log_distance(
     t0: int,
     t1: int,
     theta0: np.ndarray,
-    direction: np.ndarray,
+    r: float,
 ) -> np.ndarray:
     """theta at the integers t = t0..t1, t0 < t1, of the log-distance
     t = -log2|1 - xi| on the variant's side of the singular point,
@@ -361,9 +365,8 @@ def _integrate_log_distance(
 
     As d -> 0 the operator tends to ln2 B, so theta grows or decays like
     2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
-    r = u' (ln2 B) u / u' u (0 for a zero u), the Rayleigh quotient of
-    ln2 B at u = direction; the change of variables is exact, and row i is
-    scaled back by e^(r i).
+    r the caller's estimate of that rate, beta ln2; the change of variables
+    is exact for any r, and row i is scaled back by e^(r i).
 
     One DOP853 solve integrates p runs of q consecutive pieces each, all
     in one local time tau in [0, 1], and keeps each run's state at the
@@ -392,10 +395,6 @@ def _integrate_log_distance(
         p, q, y0, start = 1, k, theta0.reshape(1, n, 1), np.ones(1)
     sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
     h_b = math.log(2.0) * sys.matrices.b_dense()
-    # the quotient is taken on u / max|u|, so its sums cannot overflow
-    u = direction / (float(np.max(np.abs(direction))) or 1.0)
-    norm2 = float(u @ u)
-    r = float(u @ h_b @ u) / norm2 if norm2 else 0.0
     # scaled in place to q (ln2 B - r I) and q ln2 A, the operators in tau
     # over a run's q units of t, so no more than two N x N matrices are
     # held at once

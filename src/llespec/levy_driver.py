@@ -28,6 +28,17 @@ __all__ = [
 ]
 
 
+def _number(value, field: str) -> float:
+    """value as a float; a bool, or anything float() rejects, raises
+    ValidationError naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{field} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LevyDriver:
     """Parameters of a drift-free symmetric Levy driver.
@@ -42,21 +53,27 @@ class LevyDriver:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.kappa) or self.kappa < 0:
-            raise ValidationError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if not math.isfinite(self.uniform_rate) or self.uniform_rate < 0:
+        kappa = _number(self.kappa, "kappa")
+        if not math.isfinite(kappa) or kappa < 0:
+            raise ValidationError(f"kappa must be finite and >= 0, got {kappa}")
+        uniform_rate = _number(self.uniform_rate, "uniform_rate")
+        if not math.isfinite(uniform_rate) or uniform_rate < 0:
             raise ValidationError(
-                f"uniform_rate must be finite and >= 0, got {self.uniform_rate}"
+                f"uniform_rate must be finite and >= 0, got {uniform_rate}"
             )
         norm = []
         for k, (angle, rate) in enumerate(self.atoms):
+            angle = _number(angle, f"atoms[{k}].angle")
+            rate = _number(rate, f"atoms[{k}].rate")
             if not math.isfinite(angle) or not (0.0 < angle <= math.pi):
                 raise ValidationError(
                     f"atoms[{k}].angle must lie in (0, pi], got {angle}"
                 )
             if not math.isfinite(rate) or rate <= 0:
                 raise ValidationError(f"atoms[{k}].rate must be > 0, got {rate}")
-            norm.append((float(angle), float(rate)))
+            norm.append((angle, rate))
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "uniform_rate", uniform_rate)
         object.__setattr__(self, "atoms", tuple(norm))
 
 
@@ -67,7 +84,7 @@ class EtaSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_number(v, f"eta[{i + 1}]") for i, v in enumerate(self.values))
         if not vals:
             raise ValidationError("eta sequence must have at least one entry")
         for i, v in enumerate(vals):
@@ -97,7 +114,7 @@ def eta_sequence(driver: LevyDriver, n_max: int) -> EtaSequence:
 
 def validate_eta(values) -> EtaSequence:
     """Wrap user-supplied exponents; accepts any nonnegative finite values."""
-    return EtaSequence(tuple(float(v) for v in values))
+    return EtaSequence(tuple(values))
 
 
 def driver_from_dict(d: dict) -> LevyDriver:
@@ -108,20 +125,17 @@ def driver_from_dict(d: dict) -> LevyDriver:
     unknown = set(d) - known
     if unknown:
         raise ValidationError(f"unknown driver fields: {sorted(unknown)}")
-    atoms = []
-    for k, a in enumerate(d.get("atoms", ())):
-        if not isinstance(a, dict) or set(a) - {"angle", "rate"}:
+    atoms = d.get("atoms", [])
+    if not isinstance(atoms, list):
+        raise ValidationError("driver field 'atoms' must be a list")
+    for k, a in enumerate(atoms):
+        if not isinstance(a, dict) or set(a) != {"angle", "rate"}:
             raise ValidationError(f"atoms[{k}] must be an object with angle and rate")
-        try:
-            atoms.append((float(a["angle"]), float(a["rate"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"atoms[{k}] malformed: {exc}") from exc
-    try:
-        kappa = float(d.get("kappa", 0.0))
-        uniform_rate = float(d.get("uniform_rate", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"driver field malformed: {exc}") from exc
-    return LevyDriver(kappa=kappa, uniform_rate=uniform_rate, atoms=tuple(atoms))
+    return LevyDriver(
+        kappa=d.get("kappa", 0.0),
+        uniform_rate=d.get("uniform_rate", 0.0),
+        atoms=tuple((a["angle"], a["rate"]) for a in atoms),
+    )
 
 
 def eta_from_json_file(path: str, n_max: int, formal_min: int | None = None) -> EtaSequence:
@@ -145,6 +159,8 @@ def eta_from_json_file(path: str, n_max: int, formal_min: int | None = None) -> 
     if "eta" in data:
         if set(data) != {"eta"}:
             raise ValidationError("formal eta file must hold exactly the key 'eta'")
+        if not isinstance(data["eta"], list):
+            raise ValidationError("formal eta file's 'eta' must be a list")
         seq = validate_eta(data["eta"])
         need = n_max if formal_min is None else formal_min
         if seq.n_max < need:

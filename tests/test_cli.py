@@ -5,9 +5,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from llespec import (
+    BlowupFit,
     CapacityError,
     DegeneracyError,
     DomainError,
@@ -21,7 +23,7 @@ from llespec import (
     beta2,
     eta_sequence,
 )
-from llespec import spectral_solver
+from llespec import cli, fuchsian_series, spectral_solver
 from llespec.cli import main
 from llespec.closed_forms import (
     HypergeometricParams,
@@ -159,6 +161,37 @@ class TestValidationExits:
     def test_json_and_csv_conflict(self):
         code, _, _ = run_cli("eta", "--kappa", "1", "--json", "--csv")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [("--json", "--csv"), ("--out", "x.txt")], ids=["both", "out"]
+    )
+    def test_output_flags_refused_before_any_work(self, monkeypatch, flags):
+        def fail(*args, **kwargs):
+            raise AssertionError("beta2 ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "beta2", fail)
+        code = main(["beta2", "--kappa", "0.7", "--m-max", "200", *flags])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"eta": ["x"]}',
+            '{"eta": [null]}',
+            '{"eta": 5}',
+            '{"eta": [[1]]}',
+            '{"atoms": 5}',
+            '{"eta": "12"}',  # a string is not read digit by digit
+        ],
+    )
+    def test_malformed_eta_file_is_exit_2(self, tmp_path, body):
+        f = tmp_path / "eta.json"
+        f.write_text(body)
+        code, out, err = run_cli("eta", "--eta-file", str(f), "--n-max", "2")
+        assert code == 2
+        assert out == b""
+        assert err.startswith(b"error:")
+        assert b"Traceback" not in err
 
     def test_negative_kappa(self):
         code, _, err = run_cli("eta", "--kappa", "-1")
@@ -425,6 +458,33 @@ class TestFuchsCommand:
         assert code == 0
         top = max(truncated_sle_spectrum(n, Variant.UNBOUNDED))
         assert abs(json.loads(text)["beta_est"] - top) < 1e-6
+
+    def test_non_finite_chain_is_exit_3(self, monkeypatch, capsys):
+        def chain(sys, t0, t1, theta0, r):
+            out = np.ones((t1 - t0 + 1, sys.n))
+            out[-1] = np.inf
+            return out
+
+        monkeypatch.setattr(fuchsian_series, "_integrate_log_distance", chain)
+        code, text = run_main(capsys, "fuchs", "--kappa", "2", "--n", "2", "--json")
+        assert code == 3
+        assert text == ""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_nan_fit_is_exit_3_with_no_output(
+        self, monkeypatch, capsys, tmp_path, to_file
+    ):
+        nan = math.nan
+        fit = BlowupFit(nan, (nan, nan), nan, False, (nan,))
+        monkeypatch.setattr(cli, "blowup_exponent", lambda sys, ladder: fit)
+        out = tmp_path / "fit.json"
+        extra = ("--out", str(out)) if to_file else ()
+        code, text = run_main(
+            capsys, "fuchs", "--kappa", "2", "--n", "2", "--json", *extra
+        )
+        assert code == 3
+        assert text == ""
+        assert not out.exists()
 
 
 class TestPerturbationCommand:

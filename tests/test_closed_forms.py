@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -43,6 +45,21 @@ class TestBeta2ClosedForm:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             beta2_unbounded_n2(-0.25)
+
+    @pytest.mark.parametrize(
+        "eta1", [0.0, 0.3, 0.5, 1.0, 2.0, 3.0, 4.0, 10.0, 1e4, 1e8, 1e12, 1e200]
+    )
+    def test_matches_mpmath_to_one_ulp(self, eta1):
+        # the textbook form cancels for large eta_1 (in doubles it reads 2.0
+        # at 1e12 and inf at 1e200); mpmath carries 60 digits past the 400
+        # that it cancels at 1e200
+        with mpmath.workdps(460):
+            e = mpmath.mpf(eta1)
+            want = float((6 - e + mpmath.sqrt(e * e - 4 * e + 12)) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RealizabilityWarning)
+            got = beta2_unbounded_n2(eta1)
+        assert abs(got - want) <= math.ulp(want)
 
     def test_monotone_decreasing(self):
         vals = [beta2_unbounded_n2(e) for e in (0.5, 1.0, 2.0, 5.0, 20.0)]

@@ -13,6 +13,7 @@ from llespec import (
     FuchsianSystem,
     GeometricLadder,
     LevyDriver,
+    NumericalError,
     ValidationError,
     Variant,
     analytic_null_vector,
@@ -339,6 +340,30 @@ class TestBlowup:
         fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, 30))
         assert abs(fit.beta_est - eigen_spectrum(m).max_real) < 1e-10
 
+    @pytest.mark.parametrize(
+        "rate, n", [(3000.0, 5), (1e4, 5), (1e4, 3)], ids=["3000-5", "1e4-5", "1e4-3"]
+    )
+    def test_strongly_driven_bounded(self, rate, n):
+        # ln2 B is far from normal here: a rate taken from B at one vector can
+        # lie far outside its spectrum, while the series' growth gives beta
+        m = build_matrices(
+            eta_sequence(LevyDriver(uniform_rate=rate), n), n, Variant.BOUNDED
+        )
+        top = eigen_spectrum(m).max_real
+        for j_max, tol in ((14, 1e-5), (30, 1e-8)):
+            fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, j_max))
+            assert abs(fit.beta_est - top) < tol * top
+
+    def test_non_finite_chain_raises(self, monkeypatch):
+        def chain(sys, t0, t1, theta0, r):
+            out = np.ones((t1 - t0 + 1, sys.n))
+            out[-1] = np.inf
+            return out
+
+        monkeypatch.setattr(fuchsian_series, "_integrate_log_distance", chain)
+        with pytest.raises(NumericalError, match="finite"):
+            blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED))
+
     def test_ladder_from_the_integration_start(self):
         # unbounded theta is summed at xi = 1/2, which is the ladder's j = 1
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
@@ -486,7 +511,7 @@ class TestIntegration:
         # below 1e-14 of theta
         series = series_solution(sys, 4000)
         start = evaluate_theta(series, self._xi(sys.variant, t0))
-        chain = fuchsian_series._integrate_log_distance(sys, t0, t1, start, start)
+        chain = fuchsian_series._integrate_log_distance(sys, t0, t1, start, 0.0)
         assert chain.shape == (t1 - t0 + 1, sys.n)
         for t, got in zip(range(t0, t1 + 1), chain):
             want, tail = evaluate_theta_with_tail(series, self._xi(sys.variant, t))
@@ -531,7 +556,8 @@ class TestIntegration:
         monkeypatch.setattr(fuchsian_series, "_batching_pays", lambda m, k: batched)
         sys = _system(ETA_SLE2, 1, variant)
         start = np.array([exact(self._xi(variant, t0))])
-        got = fuchsian_series._integrate_log_distance(sys, t0, 50, start, start)
+        r = math.log(2.0) * sys.matrices.b_diag[0]
+        got = fuchsian_series._integrate_log_distance(sys, t0, 50, start, r)
         want = [[exact(self._xi(variant, t))] for t in range(t0, 51)]
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -540,18 +566,16 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = fuchsian_series._integrate_log_distance(
-                sys, 1, 10, np.zeros(2), np.zeros(2)
+                sys, 1, 10, np.zeros(2), 0.0
             )
         np.testing.assert_array_equal(got, np.zeros((10, 2)))
 
     def test_huge_start_scales_linearly(self):
-        # the integrating factor's rate is taken on a scaled direction, so it
-        # cannot overflow where theta0 itself does not
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
         start = np.array([1.0, 0.5])
         integrate = fuchsian_series._integrate_log_distance
-        got = integrate(sys, 1, 4, 1e160 * start, 1e160 * start)
-        np.testing.assert_allclose(got, 1e160 * integrate(sys, 1, 4, start, start))
+        got = integrate(sys, 1, 4, 1e160 * start, 0.0)
+        np.testing.assert_allclose(got, 1e160 * integrate(sys, 1, 4, start, 0.0))
 
 
 def test_formal_eta_supported():
