@@ -2,9 +2,11 @@
 """Spectra of truncated SLE systems against their closed forms.
 
 For kappa = 2(N+2)/N^2 the unbounded evolution matrix closes at size N and
-its eigenvalues are known exactly; same for the bounded variant with
-kappa = 2(N-2)/N^2. Prints both routes side by side, including the double
-eigenvalues that appear at N = 6.
+its eigenvalues are known exactly: the closed form and the computed spectrum
+are printed side by side, including the double eigenvalues that appear at
+N = 6. The bounded variant closes at kappa_N = 2(N-2)/N^2, but only its top
+eigenvalue kappa_N/2 has a closed form, so its computed spectrum is printed
+with that one check.
 """
 
 from llespec import (
@@ -20,11 +22,15 @@ from llespec import (
 def show(variant, n, kappa):
     eta = eta_sequence(LevyDriver(kappa=kappa), n)
     spec = eigen_spectrum(build_matrices(eta, n, variant))
-    closed = truncated_sle_spectrum(n, variant)
     print(f"\n{variant.value} N={n}  kappa={kappa:.6g}")
-    print(f"  closed form : {[round(v, 12) for v in sorted(closed, reverse=True)]}")
     eig = sorted((e.real for e in spec.eigenvalues), reverse=True)
-    print(f"  eigenvalues : {[round(v, 12) for v in eig]}")
+    if variant is Variant.UNBOUNDED:
+        closed = sorted(truncated_sle_spectrum(n, variant), reverse=True)
+        print(f"  closed form : {[round(v, 12) for v in closed]}")
+    print(f"  computed    : {[round(v, 12) for v in eig]}")
+    if variant is Variant.BOUNDED:
+        gap = abs(spec.max_real - kappa / 2.0)
+        print(f"  kappa_N/2 = {kappa / 2.0:.12g}, |max - kappa_N/2| = {gap:.1e}")
     print(f"  beta(2) = max = {spec.max_real:.12g}")
     degenerate = [(m, round(c.real, 9)) for c, m in spec.clusters if m > 1]
     if degenerate:

@@ -19,7 +19,7 @@ from .closed_forms import (
     perturbed_n6_pairs,
     theorem1_solution,
 )
-from .errors import LLESpecError, NumericalError, ValidationError
+from .errors import LLESpecError, NumericalError, SizeError, ValidationError
 from .fuchsian_series import FuchsianSystem, GeometricLadder, blowup_exponent
 from .levy_driver import (
     LevyDriver,
@@ -27,7 +27,7 @@ from .levy_driver import (
     eta_sequence,
     validate_eta,
 )
-from .loewner_system import Variant, build_matrices, truncation_order
+from .loewner_system import Variant, build_matrices
 from .spectral_solver import _beta2_mode, _max_real_sequence, _top_eigenvalue
 from .spectral_solver import beta2, eigen_spectrum
 
@@ -138,20 +138,20 @@ def _resolve_eta(args, n_needed: int, formal_min: int | None = None):
 
 
 def _resolve_system_size(args) -> tuple[int, object]:
-    """(N, eta) from --n or from the truncation order of the eta source."""
+    """(N, eta) from --n, else beta2's truncation order N <= --m-max."""
     if args.n is not None:
         if args.n < 1:
             raise ValidationError(f"--n must be >= 1, got {args.n}")
         return args.n, _resolve_eta(args, max(args.n - 1, 1))
     # a formal file that closes early is fine at its own coverage
     eta = _resolve_eta(args, args.m_max, formal_min=1)
-    order = truncation_order(eta, Variant.parse(args.variant))
-    if order is None:
-        bound = min(args.m_max, eta.n_max)
-        raise ValidationError(
-            f"no truncation order within n_max={bound}; pass --n explicitly"
-        )
-    return order, eta
+    try:  # SizeError: a formal file shorter than --m-max that never closes
+        mode, n = _beta2_mode(eta, Variant.parse(args.variant), args.m_max)
+    except SizeError:
+        mode = None
+    if mode != "truncated":
+        raise ValidationError(f"no truncation order N <= {args.m_max}; pass --n")
+    return n, eta
 
 
 # ---------------------------------------------------------------- commands
@@ -284,8 +284,6 @@ def _cmd_ple_curve(args) -> None:
     lambdas = _parse_grid(args.lambdas, "lambdas")
     if any(lam <= 0 or not math.isfinite(lam) for lam in lambdas):
         raise ValidationError("lambda grid entries must be positive and finite")
-    if args.m_max < 2:
-        raise ValidationError(f"--m-max must be >= 2, got {args.m_max}")
 
     def point(lam: float) -> dict:
         # integer lambda truncates exactly at N = lambda + 2; any other lambda
@@ -301,8 +299,6 @@ def _cmd_ple_curve(args) -> None:
 
 
 def _cmd_sle_converge(args) -> None:
-    if args.m_max < 2:
-        raise ValidationError(f"--m-max must be >= 2, got {args.m_max}")
     variant = Variant.parse(args.variant)
     eta = eta_sequence(LevyDriver(kappa=args.kappa), args.m_max)
     seq = _max_real_sequence(eta, variant, args.m_max)
@@ -376,6 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="growth convention",
     )
 
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, default=None, help="matrix dimension")
+    size.add_argument(
+        "--m-max", type=int, default=64, help="largest truncation order without --n"
+    )
+
     parser = argparse.ArgumentParser(
         prog="llespec",
         description="beta(2) of Levy-Loewner evolutions by eigenvalues, "
@@ -388,11 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser(
-        "spectrum", parents=[source, output, variant], help="eigenvalue table"
-    )
-    p.add_argument("--n", type=int, default=None, help="matrix dimension")
-    p.add_argument(
-        "--m-max", type=int, default=64, help="truncation scan range when --n absent"
+        "spectrum", parents=[source, output, variant, size], help="eigenvalue table"
     )
     p.set_defaults(func=_cmd_spectrum)
 
@@ -403,17 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_beta2)
 
     p = sub.add_parser(
-        "fuchs", parents=[source, output, variant], help="blowup-exponent fit"
+        "fuchs", parents=[source, output, variant, size], help="blowup-exponent fit"
     )
-    p.add_argument("--n", type=int, default=None, help="matrix dimension")
-    p.add_argument("--m-max", type=int, default=64)
-    p.add_argument("--j-min", type=int, default=6)
+    p.add_argument("--j-min", type=int, default=GeometricLadder.j_min)
     p.add_argument(
         "--j-max",
         type=int,
-        default=14,
+        default=GeometricLadder.j_max,
         help="nearest ladder point |1 - xi| = 2^-j_max, at most 52 "
-        "(default 14)",
+        "(default %(default)s)",
     )
     p.set_defaults(func=_cmd_fuchs)
 
@@ -470,6 +466,8 @@ def main(argv=None) -> int:
             raise ValidationError("choose one output format, --json or --csv")
         if args.out and not (args.json or args.csv):
             raise ValidationError("--out requires --json or --csv")
+        if getattr(args, "m_max", 2) < 2:
+            raise ValidationError(f"--m-max must be >= 2, got {args.m_max}")
         args.func(args)
     except LLESpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

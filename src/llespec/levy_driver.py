@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 __all__ = [
     "LevyDriver",
@@ -26,6 +26,10 @@ __all__ = [
     "driver_from_dict",
     "eta_from_json_file",
 ]
+
+# ~2^20 exponents already take ~1 s and ~150 MB through build_matrices, and
+# the dense solvers stop at 4096: a larger request is refused before the loop
+_ETA_LIMIT = 1 << 20
 
 
 def _number(value, field: str) -> float:
@@ -103,6 +107,8 @@ def eta_sequence(driver: LevyDriver, n_max: int) -> EtaSequence:
     """Exponent sequence eta_1..eta_{n_max} of a driver."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    if n_max > _ETA_LIMIT:
+        raise CapacityError(f"n_max={n_max} exceeds the exponent limit {_ETA_LIMIT}")
     vals = []
     for n in range(1, n_max + 1):
         v = driver.kappa * n * n / 2.0 + driver.uniform_rate

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    NumericalError,
     SizeError,
     TruncationNearMissWarning,
     ValidationError,
@@ -311,7 +312,7 @@ def charpoly_coefficients(rec: CharPolyRecurrence):
     """Monomial coefficients of P_N, ascending (beta^0 .. beta^N).
 
     Exact Fractions when every a_n, b_n hides a small-denominator rational,
-    floats otherwise.
+    floats otherwise; floats that leave double range raise NumericalError.
     """
     if rec.n > COEFFICIENT_LIMIT:
         raise CapacityError(
@@ -339,6 +340,11 @@ def charpoly_coefficients(rec: CharPolyRecurrence):
         for j, c in enumerate(p_prev):
             nxt[j] -= a_k * c
         p_prev, p_cur = p_cur, nxt
+    bad = 0 if exact else sum(not math.isfinite(c) for c in p_cur)
+    if bad:
+        raise NumericalError(
+            f"degree {rec.n}: {bad} of {rec.n + 1} coefficients leave double range"
+        )
     return p_cur
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -562,3 +563,79 @@ class TestPleCurve:
             assert pt == {
                 "lambda": lam, "beta2": rep.beta2, "mode": "sequence", "N": 120
             }
+
+
+# kappa = 2 * 82 / 80^2 closes the unbounded system at N = 80
+_KAPPA_N80 = "0.025625"
+
+
+class TestOneSizeRule:
+    """spectrum, fuchs and beta2 pick N by one rule, whatever the eta source:
+    a truncation counts only at N <= --m-max."""
+
+    @pytest.fixture
+    def sources(self, tmp_path, capsys):
+        out = tmp_path / "eta100.json"
+        code, _ = run_main(
+            capsys,
+            "eta", "--kappa", _KAPPA_N80, "--n-max", "100",
+            "--json", "--out", str(out),
+        )
+        assert code == 0
+        return (("--eta-file", str(out)), ("--kappa", _KAPPA_N80))
+
+    @pytest.mark.parametrize("command", ["spectrum", "fuchs"])
+    def test_truncation_past_m_max_needs_n_from_both_sources(
+        self, capsys, sources, command
+    ):
+        for source in sources:
+            assert main([command, *source]) == 2
+            assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key", [("spectrum", "n"), ("fuchs", "n"), ("beta2", "N")]
+    )
+    def test_truncation_within_m_max_from_both_sources(
+        self, capsys, sources, command, key
+    ):
+        for source in sources:
+            code, text = run_main(capsys, command, *source, "--m-max", "100", "--json")
+            assert code == 0
+            assert json.loads(text)[key] == 80
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("spectrum", "--kappa", "6"),
+            ("fuchs", "--kappa", "6"),
+            ("beta2", "--kappa", "6"),
+            ("ple-curve",),
+            ("sle-converge", "--kappa", "6"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_m_max_floor_is_one_check(self, capsys, args):
+        assert main([*args, "--m-max", "1"]) == 2
+        assert "--m-max must be >= 2" in capsys.readouterr().err
+
+
+class TestOversizedRequests:
+    """A size past the exponent limit exits 4 before any exponent is made."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ple-curve", "--lambdas", "1e9"),
+            ("eta", "--kappa", "1", "--n-max", "1000000000"),
+            ("spectrum", "--kappa", "1", "--n", "1000000000"),
+            ("spectrum", "--kappa", "1", "--m-max", "1000000000"),
+            ("beta2", "--kappa", "1", "--m-max", "1000000000"),
+            ("sle-converge", "--kappa", "1", "--m-max", "1000000000"),
+        ],
+        ids=lambda args: f"{args[0]}{args[-2]}",
+    )
+    def test_exit_4_within_a_second(self, capsys, args):
+        t0 = time.perf_counter()
+        assert main(list(args)) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "exponent limit" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from llespec import (
+    CapacityError,
     EtaSequence,
     LevyDriver,
     ValidationError,
@@ -13,6 +14,7 @@ from llespec import (
     eta_sequence,
     validate_eta,
 )
+from llespec.levy_driver import _ETA_LIMIT
 from tests.conftest import random_driver
 
 
@@ -50,6 +52,12 @@ class TestEtaSequence:
         for _ in range(20):
             d = random_driver(rng)
             assert eta_sequence(d, 9).values == eta_sequence(d, 9).values
+
+
+class TestCapacity:
+    def test_one_past_the_limit_raises_before_the_loop(self):
+        with pytest.raises(CapacityError, match=str(_ETA_LIMIT + 1)):
+            eta_sequence(LevyDriver(kappa=1.0), _ETA_LIMIT + 1)
 
 
 class TestValidation:

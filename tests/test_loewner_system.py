@@ -9,6 +9,7 @@ from llespec import (
     CapacityError,
     LevyDriver,
     LoewnerMatrices,
+    NumericalError,
     SizeError,
     TruncationNearMissWarning,
     Variant,
@@ -286,6 +287,24 @@ class TestCharPolyCoefficients:
         rec = recurrence_coefficients(eta, 600, Variant.UNBOUNDED)
         with pytest.raises(CapacityError):
             charpoly_coefficients(rec)
+
+
+class TestCharPolyCoefficientRange:
+    # unbounded kappa = sqrt(2) takes the float path; its coefficients leave
+    # double range from about degree 150
+    @staticmethod
+    def _rec(n):
+        eta = eta_sequence(LevyDriver(kappa=np.sqrt(2.0)), n)
+        return recurrence_coefficients(eta, n, Variant.UNBOUNDED)
+
+    def test_degree_100_is_finite(self):
+        coeffs = charpoly_coefficients(self._rec(100))
+        assert len(coeffs) == 101
+        assert all(type(c) is float and np.isfinite(c) for c in coeffs)
+
+    def test_degree_200_raises_naming_the_degree(self):
+        with pytest.raises(NumericalError, match="degree 200"):
+            charpoly_coefficients(self._rec(200))
 
 
 class TestTruncation:
