@@ -117,14 +117,14 @@ def _parse_atom(text: str) -> tuple[float, float]:
         raise ValidationError(f"--atom expects numbers, got {text!r}") from exc
 
 
-def _resolve_eta(args, n_needed: int, formal_min: int | None = None):
+def _resolve_eta(args, n_needed: int):
     has_driver = (
         args.kappa is not None or args.uniform_rate is not None or bool(args.atom)
     )
     if args.eta_file and has_driver:
         raise ValidationError("pass either driver flags or --eta-file, not both")
     if args.eta_file:
-        return eta_from_json_file(args.eta_file, n_needed, formal_min)
+        return eta_from_json_file(args.eta_file, n_needed)
     if not has_driver:
         raise ValidationError(
             "missing eta source: pass --kappa/--uniform-rate/--atom or --eta-file"
@@ -143,8 +143,7 @@ def _resolve_system_size(args) -> tuple[int, object]:
         if args.n < 1:
             raise ValidationError(f"--n must be >= 1, got {args.n}")
         return args.n, _resolve_eta(args, max(args.n - 1, 1))
-    # a formal file that closes early is fine at its own coverage
-    eta = _resolve_eta(args, args.m_max, formal_min=1)
+    eta = _resolve_eta(args, args.m_max)
     try:  # SizeError: a formal file shorter than --m-max that never closes
         mode, n = _beta2_mode(eta, Variant.parse(args.variant), args.m_max)
     except SizeError:
@@ -159,6 +158,8 @@ def _resolve_system_size(args) -> tuple[int, object]:
 
 def _cmd_eta(args) -> None:
     eta = _resolve_eta(args, args.n_max)
+    if not 1 <= args.n_max <= eta.n_max:
+        raise ValidationError(f"--n-max must be in 1..{eta.n_max}, got {args.n_max}")
     rows = [
         {"n": i + 1, "eta_n": v} for i, v in enumerate(eta.values[: args.n_max])
     ]
@@ -200,9 +201,7 @@ def _sequence_rows(seq) -> list[dict]:
 
 def _cmd_beta2(args) -> None:
     variant = Variant.parse(args.variant)
-    # short formal files are accepted here; beta2 itself rejects them unless
-    # a truncation order closes the system within their coverage
-    eta = _resolve_eta(args, args.m_max, formal_min=1)
+    eta = _resolve_eta(args, args.m_max)
     rep = beta2(eta, variant, args.m_max)
     if rep.mode == "truncated":
         payload = {

@@ -144,14 +144,12 @@ def driver_from_dict(d: dict) -> LevyDriver:
     )
 
 
-def eta_from_json_file(path: str, n_max: int, formal_min: int | None = None) -> EtaSequence:
+def eta_from_json_file(path: str, n_max: int) -> EtaSequence:
     """Load eta from a JSON file holding either a driver object or a formal
     sequence {"eta": [eta_1, eta_2, ...]}.
 
-    Driver files are evaluated out to n_max; formal files must already cover
-    n_max entries (extra entries are kept). Callers that can work with
-    shorter sequences, e.g. when a truncation order may close the system
-    early, pass formal_min to lower the requirement on formal files only.
+    Driver files are evaluated out to n_max; formal files are returned
+    whole, and the computation that uses them checks their coverage.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,11 +165,5 @@ def eta_from_json_file(path: str, n_max: int, formal_min: int | None = None) -> 
             raise ValidationError("formal eta file must hold exactly the key 'eta'")
         if not isinstance(data["eta"], list):
             raise ValidationError("formal eta file's 'eta' must be a list")
-        seq = validate_eta(data["eta"])
-        need = n_max if formal_min is None else formal_min
-        if seq.n_max < need:
-            raise ValidationError(
-                f"formal eta file covers n_max={seq.n_max}, need {need}"
-            )
-        return seq
+        return validate_eta(data["eta"])
     return eta_sequence(driver_from_dict(data), n_max)

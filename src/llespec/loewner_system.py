@@ -191,8 +191,6 @@ def recurrence_coefficients(
         raise SizeError(f"degree must be >= 0, got {n}")
     if n == 0:
         return CharPolyRecurrence(variant=variant, a=(), b=())
-    if eta.n_max < n - 1:
-        raise SizeError(f"eta covers n_max={eta.n_max}, need {n - 1} for degree {n}")
     m = build_matrices(eta, n, variant)
     a = tuple(float(s * t) for s, t in zip(m.b_sub, m.b_super))
     b = tuple(float(v) for v in m.b_diag)
@@ -254,8 +252,8 @@ def _charpoly_taylor(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients of P_N at c in the variable t = (beta - c) / scale,
     ascending, and a bound on their rounding errors, both times the same
-    positive factor. scale, a power of two near the spread of the roots,
-    keeps the coefficients within range of each other.
+    positive factor. scale, a power of two near |P_N(c)|^(1/N), keeps the
+    coefficients within range of each other.
 
     The recurrence runs on coefficient vectors: P_{k+1}(c + scale t) is
     (c - b_k + scale t) P_k(c + scale t) - a_k P_{k-1}(c + scale t).

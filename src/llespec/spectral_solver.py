@@ -4,10 +4,10 @@ certified top root of the characteristic polynomial).
 
 Route 2 (`max_real_root_detailed`): Newton's method on P_N from above the
 Gershgorin bound, then a certificate that the root is the top one (no sign
-change among the Taylor coefficients of P_N just above it, each beyond its
-rounding bound, and a sign change of P_N just below it). Only when the
-certificate is inconclusive does the eigensolver take part, and the result
-then says so (used_fallback=True).
+change among the Taylor coefficients of P_N just above it, scaled by
+|P_N|^(1/N), each beyond its rounding bound, and a sign change of P_N just
+below it). Only when the certificate is inconclusive does the eigensolver
+take part, and the result then says so (used_fallback=True).
 
 Solver choice (`_eigenvalues`, the package's only eigensolver call): when
 every off-diagonal product a_n is positive, B is diagonally similar to the
@@ -212,18 +212,15 @@ class MaxRealRoot:
     used_fallback: bool
 
 
-def _gershgorin_bounds(rec: CharPolyRecurrence) -> tuple[float, float]:
-    # bounds via the modulus-symmetrized tridiagonal matrix with the same
-    # characteristic polynomial (off-diagonals sqrt|a_n|)
-    n = rec.n
-    r = [0.0] * n
+def _gershgorin_upper(rec: CharPolyRecurrence) -> float:
+    # upper bound via the modulus-symmetrized tridiagonal matrix with the
+    # same characteristic polynomial (off-diagonals sqrt|a_n|)
+    r = [0.0] * rec.n
     for k, a_k in enumerate(rec.a, start=1):
         s = math.sqrt(abs(a_k))
         r[k - 1] += s
         r[k] += s
-    hi = max(b + rr for b, rr in zip(rec.b, r))
-    lo = min(b - rr for b, rr in zip(rec.b, r))
-    return lo, hi
+    return max(b + rr for b, rr in zip(rec.b, r))
 
 
 def _eig_fallback(rec: CharPolyRecurrence) -> float:
@@ -264,7 +261,7 @@ def _newton_from_above(rec: CharPolyRecurrence, hi: float) -> float:
     return x
 
 
-def _certified_top_root(rec: CharPolyRecurrence, x: float, spread: float) -> bool:
+def _certified_top_root(rec: CharPolyRecurrence, x: float) -> bool:
     """True when the top real root of P_N lies within 2 delta of x,
     delta = 1e-9 max(1, |x|); False means only that the check is
     inconclusive.
@@ -277,14 +274,18 @@ def _certified_top_root(rec: CharPolyRecurrence, x: float, spread: float) -> boo
     coefficients with the same bounds, must be negative: a root lies in
     between. The rounding bound is first order and holds where the trailing
     determinants of the recurrence have no negative Taylor coefficient at c
-    (`_charpoly_taylor`); elsewhere it is infinite and the check fails.
+    (`_charpoly_taylor`); elsewhere it is infinite and the check fails. A
+    scale near |P_N(c)|^(1/N) puts the monic t_N level with t_0 = P_N(c).
     """
     if not math.isfinite(x):
         return False
     h = 2.0 * _CERT_REL * max(1.0, abs(x))
-    # a power of two near the roots' spread keeps the coefficients in range
-    scale = math.ldexp(1.0, math.frexp(spread)[1])
-    t, err = _charpoly_taylor(rec, x + 0.5 * h, scale)
+    c = x + 0.5 * h
+    p, _, log_scale = charpoly_eval(rec, c)
+    if not p > 0.0:  # t_0 = P_N(c) must be positive
+        return False
+    scale = math.ldexp(1.0, round((math.log(p) + log_scale) / (rec.n * math.log(2.0))))
+    t, err = _charpoly_taylor(rec, c, scale)
     if not np.all(t > err):
         return False
     # P_N(c - h) from the same coefficients; the factor 2 covers the
@@ -312,9 +313,8 @@ def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
         raise SizeError("P_0 = 1 has no roots")
     if rec.n == 1:
         return MaxRealRoot(value=rec.b[0], used_fallback=False)
-    lo, hi = _gershgorin_bounds(rec)
-    x = _newton_from_above(rec, hi)
-    if _certified_top_root(rec, x, hi - lo):
+    x = _newton_from_above(rec, _gershgorin_upper(rec))
+    if _certified_top_root(rec, x):
         return MaxRealRoot(value=x, used_fallback=False)
     eig = _eig_fallback(rec)
     agree = abs(x - eig) <= _AGREE_REL * max(1.0, abs(eig))

@@ -194,6 +194,25 @@ class TestValidationExits:
         assert err.startswith(b"error:")
         assert b"Traceback" not in err
 
+    @pytest.mark.parametrize("n_max", ["0", "-1", "3"])
+    def test_eta_n_max_outside_the_file_is_exit_2(self, tmp_path, n_max):
+        f = tmp_path / "eta.json"
+        f.write_text('{"eta": [1.0, 4.0]}')
+        code, out, err = run_cli(
+            "eta", "--eta-file", str(f), "--n-max", n_max, "--json"
+        )
+        assert code == 2
+        assert out == b""
+        assert b"--n-max" in err
+
+    def test_short_file_for_spectrum_size_is_exit_2(self, tmp_path):
+        f = tmp_path / "eta.json"
+        f.write_text('{"eta": [1.0, 4.0]}')
+        code, out, err = run_cli("spectrum", "--n", "10", "--eta-file", str(f))
+        assert code == 2
+        assert out == b""
+        assert b"need 9 for dimension 10" in err
+
     def test_negative_kappa(self):
         code, _, err = run_cli("eta", "--kappa", "-1")
         assert code == 2

@@ -122,11 +122,12 @@ class TestJsonInput:
         eta = eta_from_json_file(str(p), 3)
         assert eta.values == (1.0, 4.0, 9.0)
 
-    def test_formal_schema_must_cover(self, tmp_path):
+    @pytest.mark.parametrize("n_max", [1, 2, 5])
+    def test_formal_file_is_returned_whole(self, tmp_path, n_max):
+        # n_max sizes driver files only; the computation checks coverage
         p = tmp_path / "eta.json"
         p.write_text(json.dumps({"eta": [1.0, 4.0]}))
-        with pytest.raises(ValidationError, match="cover"):
-            eta_from_json_file(str(p), 5)
+        assert eta_from_json_file(str(p), n_max).values == (1.0, 4.0)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):

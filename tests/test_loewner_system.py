@@ -27,7 +27,7 @@ from llespec.loewner_system import (
     _charpoly_taylor,
     _dense,
 )
-from llespec.spectral_solver import _gershgorin_bounds
+from llespec.spectral_solver import _gershgorin_upper
 from tests.conftest import charpoly_log_abs, random_driver
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)  # eta_n = n^2
@@ -237,7 +237,7 @@ class TestCharPolyTaylor:
                 rec = _exact_system(rng, n, variant)
                 coeffs = charpoly_coefficients(rec)
                 # above every root of every trailing block, where the bound holds
-                c = _gershgorin_bounds(rec)[1] + float(rng.uniform(0.0, 5.0))
+                c = _gershgorin_upper(rec) + float(rng.uniform(0.0, 5.0))
                 scale = 4.0
                 cf, sf = Fraction(c), Fraction(scale)
                 exact = [

@@ -32,7 +32,7 @@ from llespec.spectral_solver import (
     _cluster,
     _eig_fallback,
     _eigenvalues,
-    _gershgorin_bounds,
+    _gershgorin_upper,
     _max_real_sequence,
     _newton_from_above,
     _resonant,
@@ -355,12 +355,11 @@ class TestCertifiedRoute2:
         tried = 0
         for variant, n, eta in _route2_systems(rng, 40):
             rec = recurrence_coefficients(eta, n, variant)
-            lo, hi = _gershgorin_bounds(rec)
-            top = _newton_from_above(rec, hi)
-            assert _certified_top_root(rec, top, hi - lo)
+            top = _newton_from_above(rec, _gershgorin_upper(rec))
+            assert _certified_top_root(rec, top)
             # above the top root: no root within 2e-9 relative
             above = top + 1e-7 * max(1.0, abs(top))
-            assert not _certified_top_root(rec, above, hi - lo)
+            assert not _certified_top_root(rec, above)
             spec = eigen_spectrum(build_matrices(eta, n, variant))
             real = [z.real for z in spec.eigenvalues if z.imag == 0.0]
             for below in real[1:3]:  # the second- and third-highest
@@ -370,7 +369,7 @@ class TestCertifiedRoute2:
                     y -= p / dp
                 if abs(y - top) > 1e-6 * max(1.0, abs(top)):
                     tried += 1
-                    assert not _certified_top_root(rec, y, hi - lo), (variant, n, y)
+                    assert not _certified_top_root(rec, y), (variant, n, y)
         assert tried >= 60
 
     def test_descartes_check_rejects_a_root_with_two_above(self):
@@ -382,12 +381,29 @@ class TestCertifiedRoute2:
         rec = CharPolyRecurrence(
             variant=Variant.UNBOUNDED, a=(q - 8.5, -q), b=(5.5, 0.0, 0.0)
         )
-        lo, hi = _gershgorin_bounds(rec)
-        assert not _certified_top_root(rec, 0.5, hi - lo)
-        assert _certified_top_root(rec, 3.0, hi - lo)
+        assert not _certified_top_root(rec, 0.5)
+        assert _certified_top_root(rec, 3.0)
         r = max_real_root_detailed(rec)
         assert not r.used_fallback
         assert r.value == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "variant, kappa, n",
+        [
+            (Variant.UNBOUNDED, 2 * 402 / 400**2, 400),  # truncates at N = 400
+            (Variant.BOUNDED, 1.0, 300),
+            (Variant.BOUNDED, 1.0, 400),
+        ],
+        ids=["unbounded-truncating-400", "bounded-kappa1-300", "bounded-kappa1-400"],
+    )
+    def test_certified_at_large_n(self, variant, kappa, n):
+        # P_N's Taylor coefficients leave double range here unless the
+        # scale matches |P_N(c)|^(1/N)
+        eta = eta_sequence(LevyDriver(kappa=kappa), n)
+        r = max_real_root_detailed(recurrence_coefficients(eta, n, variant))
+        assert not r.used_fallback
+        eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
+        assert r.value == pytest.approx(eig, rel=1e-13)
 
     @pytest.mark.parametrize(
         "kappa, n, tol",
