@@ -294,9 +294,14 @@ def blowup_exponent(
     K = len(c) - 1, r = ln2 + ln(max|c_K| / max|c_{K//2}|).
 
     The local slope between consecutive points is
-    log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j|, oriented so a
-    mean growing toward xi = 1 yields a positive exponent; beta_est is the
-    Aitken limit of the last three slopes.
+    s_j = log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j| = 2^-j,
+    oriented so a mean growing toward xi = 1 yields a positive exponent.
+    Near xi = 1 the mean is d^(-beta) times a function analytic in d, so
+    s_j = beta + c_1 2^-j + c_2 4^-j + modes of the spectral gap. Two
+    corrections of known ratio are removed exactly, with fixed weights
+    (Richardson's deferred approach to the limit): beta_est is
+    (8 s_J - 6 s_{J-1} + s_{J-2}) / 3 over the last three slopes, or s_J
+    on a ladder with fewer.
     """
     ladder = ladder or GeometricLadder()
     _check_dense(sys.n)
@@ -327,15 +332,7 @@ def blowup_exponent(
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
     s = np.log2(np.abs(g[1:] / g[:-1]))
-    if len(s) >= 3:
-        d1 = s[-1] - s[-2]
-        d2 = s[-2] - s[-3]
-        if d1 != d2 and math.isfinite(d1) and math.isfinite(d2):
-            beta_est = float(s[-1] - d1 * d1 / (d1 - d2))
-        else:
-            beta_est = float(s[-1])
-    else:
-        beta_est = float(s[-1])
+    beta_est = float((8 * s[-1] - 6 * s[-2] + s[-3]) / 3 if len(s) >= 3 else s[-1])
     residual = float(np.max(np.abs(s - beta_est)))
     return BlowupFit(
         beta_est=beta_est,

@@ -71,15 +71,19 @@ class LoewnerMatrices:
     A is lower bidiagonal for UNBOUNDED and upper bidiagonal for BOUNDED, and
     its off-diagonal is B's band on the same side (the same expression of
     eta), so it is stored once, in B: a_off reads b_sub (UNBOUNDED) or
-    b_super (BOUNDED). Band lengths: diagonals N, off-diagonals N-1.
+    b_super (BOUNDED). Band lengths: diagonals N, off-diagonals N-1; N is
+    read off B's diagonal.
     """
 
     variant: Variant
-    n: int
     a_diag: np.ndarray
     b_sub: np.ndarray
     b_diag: np.ndarray
     b_super: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.b_diag)
 
     @property
     def a_off(self) -> np.ndarray:
@@ -145,7 +149,6 @@ def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrice
         a_diag = np.array([-(e[i] + 2 - i) / 2 for i in range(n)])
     return LoewnerMatrices(
         variant=variant,
-        n=n,
         a_diag=a_diag,
         b_sub=b_sub,
         b_diag=b_diag,
@@ -258,15 +261,18 @@ def _charpoly_taylor(
     The recurrence runs on coefficient vectors: P_{k+1}(c + scale t) is
     (c - b_k + scale t) P_k(c + scale t) - a_k P_{k-1}(c + scale t).
 
-    The bound is a first-order running error bound. Computing P_j rounds it
-    by at most 3u times lambda_j, the sum of the magnitudes of its terms
-    (u = 2^-53), and an error e in P_j reaches P_N as e Q_j, where Q_j is
-    the determinant of rows j..N-1 in the same variable. When no Q_j has a
-    negative Taylor coefficient at c, sum_j lambda_j Q_j bounds the error
-    coefficientwise, and that sum is the recurrence itself run with
-    lambda_{k+1} added at step k. The bound takes 8u for 3u, to cover the
-    second-order terms and its own rounding. It is inf when some Q_j has a
-    negative coefficient: the bound would not hold.
+    The bound is a first-order running error bound, never infinite.
+    Computing P_j rounds it by at most 3u times lambda_j, the sum of the
+    magnitudes of its terms (u = 2^-53), and an error e in P_j reaches P_N
+    as e Q_j, where Q_j is the determinant of rows j..N-1 in the same
+    variable. When no Q_j has a negative Taylor coefficient at c,
+    sum_j lambda_j Q_j bounds the error coefficientwise, and that sum is the
+    recurrence itself run with lambda_{k+1} added at step k. Otherwise the
+    bound runs the error recurrence on absolute values,
+    S_{k+1} = (|d_k| + scale t) S_k + |a_k| S_{k-1} + lambda_{k+1}, which
+    bounds the error coefficientwise for any signs by induction, but grows
+    far looser with N. The bound takes 8u for 3u, to cover the second-order
+    terms and its own rounding.
     """
     n = rec.n
     d = c - np.asarray(rec.b, dtype=float)
@@ -274,20 +280,25 @@ def _charpoly_taylor(
     # Q_{N+1} = 0, Q_N = 1, Q_j = (d_j + scale t) Q_{j+1} - a_{j+1} Q_{j+2}
     q_prev, q = np.zeros(n + 1), np.zeros(n + 1)
     q[0] = 1.0
+    absolute = False
     for j in range(n - 1, 0, -1):
         q_next = d[j] * q - a[j + 1] * q_prev
         q_next[1:] += scale * q[:-1]
         if q_next.min() < 0.0:
-            return np.zeros(n + 1), np.full(n + 1, math.inf)
+            absolute = True
+            break
         q_prev, q = q, q_next
         _rescale_pair(q_prev, q)
-    # row 0 holds P_k, row 1 the running sum of lambda_j Q_j
+    # row 0 holds P_k, row 1 the running sum of lambda_j Q_j, or the error
+    # recurrence on absolute values
     prev, cur = np.zeros((2, n + 1)), np.zeros((2, n + 1))
     cur[0, 0] = 1.0
     for k in range(n):
         lam = abs(d[k]) * np.abs(cur[0]) + abs(a[k]) * np.abs(prev[0])
         lam[1:] += scale * np.abs(cur[0, :-1])
         nxt = d[k] * cur - a[k] * prev
+        if absolute:
+            nxt[1] = abs(d[k]) * cur[1] + abs(a[k]) * prev[1]
         nxt[:, 1:] += scale * cur[:, :-1]
         nxt[1] += lam
         prev, cur = cur, nxt

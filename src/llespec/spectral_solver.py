@@ -272,10 +272,11 @@ def _certified_top_root(rec: CharPolyRecurrence, x: float) -> bool:
     real part below c only add positive coefficients, so the check serves
     both regimes of the a_n. P_N(c - 2 delta), summed from the same
     coefficients with the same bounds, must be negative: a root lies in
-    between. The rounding bound is first order and holds where the trailing
-    determinants of the recurrence have no negative Taylor coefficient at c
-    (`_charpoly_taylor`); elsewhere it is infinite and the check fails. A
-    scale near |P_N(c)|^(1/N) puts the monic t_N level with t_0 = P_N(c).
+    between. The rounding bound is first order and never infinite
+    (`_charpoly_taylor`): where a trailing determinant of the recurrence has
+    a negative Taylor coefficient at c, it runs on the absolute values of
+    the recurrence's coefficients, and is looser. A scale near
+    |P_N(c)|^(1/N) puts the monic t_N level with t_0 = P_N(c).
     """
     if not math.isfinite(x):
         return False

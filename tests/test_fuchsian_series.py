@@ -81,7 +81,6 @@ class TestNullVector:
         m = build_matrices(ETA_SLE2, 3, Variant.UNBOUNDED)
         doctored = LoewnerMatrices(
             variant=m.variant,
-            n=m.n,
             a_diag=np.array([0.0, 0.0, -2.5]),  # zero pivot at row 1
             b_sub=m.b_sub,
             b_diag=m.b_diag,
@@ -489,6 +488,60 @@ class TestBlowup:
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
         fit = blowup_exponent(sys, ladder=GeometricLadder(20, 30))
         assert abs(fit.beta_est - eigen_spectrum(sys.matrices).max_real) < 1e-8
+
+    @pytest.mark.parametrize(
+        "eta, variant, beta, tol",
+        [
+            (ETA_SLE2, Variant.UNBOUNDED, 3.0, 1e-12),
+            (ETA_PLE1, Variant.BOUNDED, -1.0, 1e-10),
+        ],
+        ids=["unbounded", "bounded"],
+    )
+    def test_n1_default_ladder(self, eta, variant, beta, tol):
+        # at N = 1, beta is B's single entry; the mean is d^-beta times a
+        # function analytic in d, whose 2^-j and 4^-j slope corrections the
+        # fixed weights remove exactly
+        fit = blowup_exponent(_system(eta, 1, variant))
+        assert abs(fit.beta_est - beta) < tol * abs(beta)
+
+    @pytest.mark.parametrize(
+        "eta, n, variant, tol",
+        [
+            (validate_eta([0.75]), 2, Variant.UNBOUNDED, 1e-11),
+            (validate_eta([1.0]), 2, Variant.UNBOUNDED, 1e-11),
+            (validate_eta([1.25]), 2, Variant.UNBOUNDED, 1e-11),
+            (
+                eta_sequence(LevyDriver(kappa=4.0 / 9.0), 6),  # closes at N = 6
+                6,
+                Variant.UNBOUNDED,
+                1e-11,
+            ),
+            (ETA_PLE1, 3, Variant.BOUNDED, 2e-7),
+        ],
+        ids=["n2-eta0.75", "n2-eta1", "n2-eta1.25", "n6-kappa4/9", "bounded-rate1-n3"],
+    )
+    def test_default_ladder_relative_error(self, eta, n, variant, tol):
+        # the blowup benchmark's systems
+        m = build_matrices(eta, n, variant)
+        top = eigen_spectrum(m).max_real
+        fit = blowup_exponent(FuchsianSystem(m))
+        assert abs(fit.beta_est - top) < tol * abs(top)
+
+    def test_random_drivers_default_ladder(self):
+        # median 1.8e-10 here; the Aitken step the fixed weights replaced
+        # gave 1.7e-7
+        rng = np.random.default_rng(5)
+        errors = []
+        for i in range(24):
+            driver, n = random_driver(rng), int(rng.integers(2, 17))
+            variant = Variant.UNBOUNDED if i % 2 else Variant.BOUNDED
+            m = build_matrices(eta_sequence(driver, n), n, variant)
+            top = eigen_spectrum(m).max_real
+            if abs(top) >= 1e-3:
+                fit = blowup_exponent(FuchsianSystem(m))
+                errors.append(abs(fit.beta_est - top) / abs(top))
+        assert len(errors) >= 20
+        assert np.median(errors) <= 1e-8
 
     def test_slopes_and_residual_reported(self):
         lad = GeometricLadder(j_min=4, j_max=9)

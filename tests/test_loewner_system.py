@@ -80,7 +80,7 @@ class TestMatrixExamples:
         # A's off-diagonal is B's band on the same side, so no LoewnerMatrices
         # can hold an A and a B that disagree on it
         fields = {f.name for f in dataclasses.fields(LoewnerMatrices)}
-        assert fields == {"variant", "n", "a_diag", "b_sub", "b_diag", "b_super"}
+        assert fields == {"variant", "a_diag", "b_sub", "b_diag", "b_super"}
         unb = build_matrices(ETA_SLE2, 5, Variant.UNBOUNDED)
         bnd = build_matrices(ETA_PLE1, 5, Variant.BOUNDED)
         assert unb.a_off is unb.b_sub
@@ -253,11 +253,42 @@ class TestCharPolyTaylor:
                     ) / factor
                     assert ek < np.inf
 
-    def test_bound_is_inf_when_a_trailing_determinant_is_negative(self):
-        # Q_1 = (c - b_1) + scale t has a negative constant term at c = 1
+    def test_bound_holds_past_a_negative_trailing_determinant(self):
+        # Q_1 = (c - b_1) + scale t has a negative constant term at c = 1, so
+        # the bound runs on absolute values
         rec = CharPolyRecurrence(variant=Variant.UNBOUNDED, a=(1.0,), b=(0.0, 5.0))
-        _, err = _charpoly_taylor(rec, 1.0, 4.0)
-        assert np.all(err == np.inf)
+        _assert_within_bound(rec, 1.0, 4.0)
+
+    def test_bound_holds_for_any_signs(self, rng):
+        # small-rational a and b of either sign, and c below, between and
+        # above the roots, where trailing determinants may be negative
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            a, b = rng.integers(-20, 21, size=(2, n)) / 4.0
+            rec = CharPolyRecurrence(
+                variant=Variant.UNBOUNDED,
+                a=tuple(a[1:].tolist()),
+                b=tuple(b.tolist()),
+            )
+            c = float(rng.uniform(-15.0, 15.0))
+            _assert_within_bound(rec, c, float(2.0 ** rng.integers(-2, 4)))
+
+
+def _assert_within_bound(rec, c, scale):
+    """_charpoly_taylor's coefficients at c lie within their finite bounds of
+    the exact shift of charpoly_coefficients (exact for small rationals)."""
+    coeffs = charpoly_coefficients(rec)
+    n = rec.n
+    cf, sf = Fraction(c), Fraction(scale)
+    exact = [
+        sum(coeffs[j] * comb(j, k) * cf ** (j - k) for j in range(k, n + 1)) * sf**k
+        for k in range(n + 1)
+    ]
+    t, err = _charpoly_taylor(rec, c, scale)
+    assert np.all(np.isfinite(err))
+    factor = Fraction(float(t[-1])) / exact[-1]  # a power of two
+    for tk, ek, want in zip(t, err, exact):
+        assert abs(Fraction(float(tk)) / factor - want) <= Fraction(float(ek)) / factor
 
 
 class TestCharPolyCoefficients:
