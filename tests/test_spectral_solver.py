@@ -22,6 +22,7 @@ from llespec import (
     max_real_root_detailed,
     perturbed_n6_driver,
     recurrence_coefficients,
+    truncated_sle_spectrum,
     validate_eta,
 )
 from llespec import cli
@@ -275,6 +276,56 @@ class TestEigenSpectrum:
         eta = eta_sequence(random_driver(rng), 7)
         m = build_matrices(eta, 7, Variant.UNBOUNDED)
         assert eigen_spectrum(m) == eigen_spectrum(m)
+
+
+class TestDenseOrientation:
+    """The dense QR path solves B flipped about its anti-diagonal."""
+
+    def test_matrix_handed_to_qr_is_the_flip(self, rng, monkeypatch):
+        n = 9
+        diag, sub = rng.standard_normal(n), rng.standard_normal(n - 1)
+        sup = -np.abs(rng.standard_normal(n - 1))
+        seen, solve = [], np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: seen.append(a.copy()) or solve(a)
+        )
+        _eigenvalues(diag, sub, sup)
+        (a,) = seen
+        assert np.array_equal(np.diag(a), diag[::-1])
+        assert np.array_equal(np.diag(a, -1), sub[::-1])
+        assert np.array_equal(np.diag(a, 1), sup[::-1])
+
+    @pytest.mark.parametrize("kappa, n", [(1.0, 400), (0.5, 200)])
+    def test_top_eigenvalue_near_full_precision(self, kappa, n):
+        # unbounded Brownian: beta(2) = (11 - sqrt(1 + 4 kappa)) / 2; B as it
+        # stands gave 5e-12 and 1e-12 relative here
+        eta = eta_sequence(LevyDriver(kappa=kappa), n)
+        m = build_matrices(eta, n, Variant.UNBOUNDED)
+        assert not np.all(m.b_sub * m.b_super > 0)  # the dense path
+        exact = (11.0 - np.sqrt(1.0 + 4.0 * kappa)) / 2.0
+        assert eigen_spectrum(m).max_real == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_full_spectrum_matches_forward_solve(self):
+        # bounded kappa = 0.15 at N = 50 has a complex pair; the plain
+        # reversal, which swaps the off-diagonals, is 2e-4 ||B|| off here
+        n = 50
+        m = build_matrices(eta_sequence(LevyDriver(kappa=0.15), n), n, Variant.BOUNDED)
+        forward = np.sort(np.linalg.eigvals(m.b_dense()))
+        assert np.count_nonzero(np.abs(forward.imag) > 1e-7) == 2
+        flipped = np.sort(_eigenvalues(m.b_diag, m.b_sub, m.b_super))
+        scale = np.linalg.norm(m.b_dense(), 2)
+        assert np.abs(flipped - forward).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_truncated_spectra_stay_real(self, n):
+        # both truncating Brownian systems have a real spectrum; the plain
+        # reversal puts imaginary parts of 0.03-0.3 on them
+        kappa = 2.0 * (n + 2) / n**2
+        eta = eta_sequence(LevyDriver(kappa=kappa), n)
+        assert eigen_spectrum(build_matrices(eta, n, Variant.UNBOUNDED)).all_real
+        assert truncated_sle_spectrum(n, Variant.BOUNDED)[0] == pytest.approx(
+            (n - 2) / n**2, abs=1e-9
+        )
 
 
 class TestMaxRealRoot:
