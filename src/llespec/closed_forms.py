@@ -1,10 +1,12 @@
 """Closed-form reference values: the hypergeometric solution of the N=2
-unbounded system and its beta(2) formula, truncated-SLE spectra for both
-variants, and the perturbed-N=6 complex-pair asymptotics.
+unbounded system and its beta(2) formula, the exact spectra of both
+truncating Brownian families, and the perturbed-N=6 complex-pair
+asymptotics.
 
-Everything here is an oracle for the matrix/series machinery. Gauss 2F1
-and its value at xi = 1 (a ratio of Gamma functions, formed in log-Gamma)
-come from `scipy.special`; a raw partial sum of the 2F1 series stays as an
+Everything here is an oracle for the matrix/series machinery, so nothing
+here calls an eigensolver or a root finder. Gauss 2F1 and its value at
+xi = 1 (a ratio of Gamma functions, formed in log-Gamma) come from
+`scipy.special`; a raw partial sum of the 2F1 series stays as an
 independent reference for them.
 """
 
@@ -16,15 +18,13 @@ from dataclasses import dataclass
 
 from .errors import (
     DomainError,
-    NumericalError,
     PoleError,
     PrecisionError,
     RealizabilityWarning,
     SizeError,
 )
-from .levy_driver import LevyDriver, eta_sequence
-from .loewner_system import Variant, build_matrices
-from .spectral_solver import eigen_spectrum
+from .levy_driver import LevyDriver
+from .loewner_system import Variant
 
 __all__ = [
     "HypergeometricParams",
@@ -178,38 +178,29 @@ def theorem1_solution(eta1: float, xi: float) -> Theorem1Values:
 
 
 def truncated_sle_spectrum(n: int, variant: Variant) -> list[float]:
-    """Spectrum of the truncating Brownian driver kappa = 2(N+2)/N^2
-    (unbounded) or kappa_N = 2(N-2)/N^2 (bounded) at truncation order N.
+    """Spectrum of the truncating Brownian driver kappa = 2(N+2s)/N^2 at
+    truncation order N, s = +1 (unbounded) or s = -1 (bounded), in closed
+    form:
 
-    Unbounded: the closed form (N+2 - (2N^2-3N-6) l + 2(N+2) l^2) / N^2 for
-    l = 0..N-1, returned in l order. Bounded: matrix eigenvalues in
-    descending real order; no quadratic-in-l closed form matches this family
-    past the top value (the trace identity rules it out), so only
-    kappa_N / 2 is asserted, as a cross-check on the computed list.
+        lambda_l = (N + 2s - (2N^2 - 3N - 6s) l + 2(N + 2s) l^2) / N^2,
+
+    for l = 0..N-1. Each numerator is an exact integer divided once, so every
+    value is correctly rounded. Unbounded values come in l order, bounded
+    ones in descending order, led by lambda_0 = kappa/2. Two members repeat
+    eigenvalues: unbounded N = 6 (lambda_l = lambda_{3-l}) and bounded
+    N = 10 (lambda_l = lambda_{11-l}).
     """
-    if variant is Variant.UNBOUNDED:
-        if n < 1:
-            raise SizeError(f"unbounded truncation order must be >= 1, got {n}")
-        return [
-            (n + 2 - (2 * n * n - 3 * n - 6) * l + 2 * (n + 2) * l * l) / (n * n)
-            for l in range(n)
-        ]
-    if n < 3:
-        raise SizeError(f"bounded truncation order must be >= 3, got {n}")
-    kappa_n = 2.0 * (n - 2) / (n * n)
-    eta = eta_sequence(LevyDriver(kappa=kappa_n), max(n - 1, 1))
-    spec = eigen_spectrum(build_matrices(eta, n, Variant.BOUNDED))
-    max_im = max(abs(z.imag) for z in spec.eigenvalues)
-    if max_im > 1e-6:
-        raise NumericalError(
-            f"bounded truncated spectrum not real to tolerance (|Im| = {max_im:.2e})"
+    s = 1 if variant is Variant.UNBOUNDED else -1
+    if n < 2 - s:  # N >= 1, and the bounded kappa > 0 needs N >= 3
+        raise SizeError(
+            f"{variant.value} truncation order must be >= {2 - s}, got {n}"
         )
-    vals = [z.real for z in spec.eigenvalues]
-    if abs(vals[0] - kappa_n / 2.0) > 1e-8:
-        raise NumericalError(
-            f"top eigenvalue {vals[0]} disagrees with kappa_N/2 = {kappa_n / 2.0}"
-        )
-    return vals
+    vals = [
+        (n + 2 * s - (2 * n * n - 3 * n - 6 * s) * l + 2 * (n + 2 * s) * l * l)
+        / (n * n)
+        for l in range(n)
+    ]
+    return vals if s == 1 else sorted(vals, reverse=True)
 
 
 def perturbed_n6_driver(delta_kappa: float) -> LevyDriver:

@@ -130,23 +130,23 @@ def build_matrices(eta: EtaSequence, n: int, variant: Variant) -> LoewnerMatrice
         raise SizeError(f"matrix dimension must be >= 1, got {n}")
     if eta.n_max < n - 1:
         raise SizeError(f"eta covers n_max={eta.n_max}, need {n - 1} for dimension {n}")
-    e = [0.0, *eta.values[: n - 1]]  # eta_0 = 0
+    e = np.zeros(n)  # eta_0 = 0
+    e[1:] = eta.values[: n - 1]
+    i = np.arange(n, dtype=float)
     if variant is Variant.UNBOUNDED:
-        b_diag = np.array([3.0 - e[i] for i in range(n)])
+        b_diag = 3.0 - e
         # first-row entry -2 verbatim; generic (e+i-2)/2 from i >= 1
-        b_super = np.array(
-            [-2.0 if i == 0 else (e[i] + i - 2) / 2 for i in range(n - 1)]
-        )
-        b_sub = np.array([(e[i] - i - 2) / 2 for i in range(1, n)])
-        a_diag = np.array([-(e[i] + i) / 2 for i in range(n)])
+        b_super = (e[:-1] + i[:-1] - 2) / 2
+        b_super[:1] = -2.0
+        b_sub = (e[1:] - i[1:] - 2) / 2
+        a_diag = -(e + i) / 2
     else:
-        b_diag = np.array([-e[i] - 1.0 for i in range(n)])
+        b_diag = -e - 1.0
         # first-row entry 2 verbatim; generic (e+i+2)/2 from i >= 1
-        b_super = np.array(
-            [2.0 if i == 0 else (e[i] + i + 2) / 2 for i in range(n - 1)]
-        )
-        b_sub = np.array([(e[i] + 2 - i) / 2 for i in range(1, n)])
-        a_diag = np.array([-(e[i] + 2 - i) / 2 for i in range(n)])
+        b_super = (e[:-1] + i[:-1] + 2) / 2
+        b_super[:1] = 2.0
+        b_sub = (e[1:] + 2 - i[1:]) / 2
+        a_diag = -(e + 2 - i) / 2
     return LoewnerMatrices(
         variant=variant,
         a_diag=a_diag,

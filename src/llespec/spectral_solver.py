@@ -324,8 +324,6 @@ def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
     """
     if rec.n == 0:
         raise SizeError("P_0 = 1 has no roots")
-    if rec.n == 1:
-        return MaxRealRoot(value=rec.b[0], used_fallback=False)
     x = _newton_from_above(rec, _gershgorin_upper(rec))
     if _certified_top_root(rec, x):
         return MaxRealRoot(value=x, used_fallback=False)

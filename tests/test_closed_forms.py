@@ -250,15 +250,18 @@ class TestTruncatedSle:
             spec = truncated_sle_spectrum(n, Variant.UNBOUNDED)
             assert max(spec) == pytest.approx((5 * n - 2) / n, rel=1e-14)
 
-    def test_unbounded_matches_eigenvalues(self):
-        for n in (3, 4, 5, 6, 7, 8):
-            kappa = 2.0 * (n + 2) / n**2
-            eta = eta_sequence(LevyDriver(kappa=kappa), n)
-            m = build_matrices(eta, n, Variant.UNBOUNDED)
-            from llespec import eigen_spectrum
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_matches_eigenvalues(self, variant):
+        # route 1 against the closed form; the bulk agrees to 5e-11 here
+        from llespec import eigen_spectrum
 
+        s = 2 if variant is Variant.UNBOUNDED else -2
+        for n in range(3, 10):
+            eta = eta_sequence(LevyDriver(kappa=2.0 * (n + s) / n**2), n)
+            m = build_matrices(eta, n, variant)
             eig = sorted(z.real for z in eigen_spectrum(m).eigenvalues)
-            assert eig == pytest.approx(sorted(truncated_sle_spectrum(n, Variant.UNBOUNDED)), abs=1e-6)
+            closed = sorted(truncated_sle_spectrum(n, variant))
+            assert eig == pytest.approx(closed, abs=1e-9)
 
     def test_bounded_n3(self):
         spec = truncated_sle_spectrum(3, Variant.BOUNDED)
@@ -270,6 +273,21 @@ class TestTruncatedSle:
             kappa = 2.0 * (n - 2) / n**2
             assert spec[0] == pytest.approx(kappa / 2.0, abs=1e-9)
             assert list(spec) == sorted(spec, reverse=True)
+
+    def test_bounded_closed_form_at_any_size(self):
+        # no eigensolve: sizes past the dense limit cost a list of N values
+        for n in (*range(3, 401), 5000):
+            spec = truncated_sle_spectrum(n, Variant.BOUNDED)
+            assert len(spec) == n
+            assert spec[0] == (n - 2) / n**2
+            assert spec == sorted(spec, reverse=True)
+
+    def test_bounded_n10_is_doubled(self):
+        # lambda_l = lambda_{11-l}: four exact double eigenvalues
+        spec = truncated_sle_spectrum(10, Variant.BOUNDED)
+        assert spec == [
+            0.08, -1.52, -2.8, -2.8, -3.76, -3.76, -4.4, -4.4, -4.72, -4.72
+        ]
 
     def test_size_validation(self):
         with pytest.raises(SizeError):

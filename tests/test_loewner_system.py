@@ -76,6 +76,39 @@ class TestMatrixExamples:
             want += np.diag(sup, 1) + np.diag(sub, -1)
             assert _dense(diag, sub, sup).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_bands_match_the_displayed_formulas_bitwise(self, rng, variant):
+        # the displayed form, entry by entry in Python floats, with the same
+        # order of operations as the array expressions
+        def displayed(eta, n):
+            e = [0.0, *eta.values[: n - 1]]
+            if variant is Variant.UNBOUNDED:
+                return (
+                    [-(e[i] + i) / 2 for i in range(n)],
+                    [(e[i] - i - 2) / 2 for i in range(1, n)],
+                    [3.0 - e[i] for i in range(n)],
+                    [-2.0 if i == 0 else (e[i] + i - 2) / 2 for i in range(n - 1)],
+                )
+            return (
+                [-(e[i] + 2 - i) / 2 for i in range(n)],
+                [(e[i] + 2 - i) / 2 for i in range(1, n)],
+                [-e[i] - 1.0 for i in range(n)],
+                [2.0 if i == 0 else (e[i] + i + 2) / 2 for i in range(n - 1)],
+            )
+
+        # integer exponents put exact zeros, and signed ones, in the bands
+        cases = [(ETA_SLE2, 8), (ETA_PLE1, 8)] + [
+            (eta_sequence(random_driver(rng), n), n)
+            for n in (1, 2, 3, 5, 17, 64, 150, 299, 300)
+            for _ in range(3)
+        ]
+        for eta, n in cases:
+            m = build_matrices(eta, n, variant)
+            got = (m.a_diag, m.b_sub, m.b_diag, m.b_super)
+            for band, want in zip(got, displayed(eta, n)):
+                assert band.dtype == np.float64
+                assert band.tobytes() == np.array(want, dtype=float).tobytes()
+
     def test_a_off_is_stored_once_in_b(self):
         # A's off-diagonal is B's band on the same side, so no LoewnerMatrices
         # can hold an A and a B that disagree on it

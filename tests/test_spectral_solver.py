@@ -320,12 +320,23 @@ class TestDenseOrientation:
     def test_truncated_spectra_stay_real(self, n):
         # both truncating Brownian systems have a real spectrum; the plain
         # reversal puts imaginary parts of 0.03-0.3 on them
-        kappa = 2.0 * (n + 2) / n**2
-        eta = eta_sequence(LevyDriver(kappa=kappa), n)
-        assert eigen_spectrum(build_matrices(eta, n, Variant.UNBOUNDED)).all_real
-        assert truncated_sle_spectrum(n, Variant.BOUNDED)[0] == pytest.approx(
-            (n - 2) / n**2, abs=1e-9
-        )
+        for variant, s in ((Variant.UNBOUNDED, 2), (Variant.BOUNDED, -2)):
+            eta = eta_sequence(LevyDriver(kappa=2.0 * (n + s) / n**2), n)
+            spec = eigen_spectrum(build_matrices(eta, n, variant))
+            assert spec.all_real
+            top = max(truncated_sle_spectrum(n, variant))
+            assert spec.max_real == pytest.approx(top, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("n", [25, 40, 100, 200, 400])
+    def test_truncating_top_value(self, variant, n):
+        # from N = 25 the computed bulk of these spectra is complex, but
+        # beta(2) stays within 2e-13 of the closed form
+        s = 2 if variant is Variant.UNBOUNDED else -2
+        eta = eta_sequence(LevyDriver(kappa=2.0 * (n + s) / n**2), n)
+        top = max(truncated_sle_spectrum(n, variant))
+        got = eigen_spectrum(build_matrices(eta, n, variant)).max_real
+        assert got == pytest.approx(top, rel=1e-12, abs=0)
 
 
 class TestMaxRealRoot:

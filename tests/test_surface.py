@@ -1,5 +1,6 @@
 """The package's public surface, and the names the benchmark's tracer patches."""
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -50,6 +51,20 @@ def test_errors_all_is_the_classes_it_defines():
     }
     assert len(errors.__all__) == len(set(errors.__all__))
     assert set(errors.__all__) == defined
+
+
+def test_closed_forms_imports_no_solver():
+    # the oracles must not be computed by the routes they check
+    tree = ast.parse(Path(closed_forms.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            internal.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("llespec"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("llespec") for a in node.names)
+    assert internal <= {"errors", "levy_driver", "loewner_system"}, internal
 
 
 def _load_spans():
