@@ -258,9 +258,10 @@ class BlowupFit:
     """Fitted blowup exponent of the angular mean at xi = 1.
 
     window is (xi_near, xi_far), the nearest and farthest ladder points.
-    residual is the maximum deviation of the local slopes from beta_est;
-    slow slope drift (rather than noise) signals logarithmic corrections from
-    degenerate or resonant exponents. oscillation_detected marks a sign
+    residual is the maximum deviation of the local slopes from beta_est. The
+    first slopes' 2^-j drift, which the fit removes, dominates it, so it is
+    not an error estimate: it reads 0.011 on the N = 2, eta_1 = 1 system,
+    whose beta_est is 3e-12 from 4. oscillation_detected marks a sign
     change of the mean along the ladder (complex dominant exponents), which
     makes beta_est unreliable.
     """

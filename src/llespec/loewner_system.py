@@ -161,7 +161,7 @@ class CharPolyRecurrence:
     """Coefficients of P_{n+1} = (beta - b_n) P_n - a_n P_{n-1}.
 
     a covers a_1..a_{N-1}, b covers b_0..b_{N-1}; N = len(b). N = 0 (both
-    empty) is allowed and makes P_N identically 1.
+    empty) is allowed and makes P_N identically 1. Every entry is finite.
     """
 
     variant: Variant
@@ -169,6 +169,8 @@ class CharPolyRecurrence:
     b: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.a, *self.b)):
+            raise ValidationError("every a_n and b_n of a recurrence must be finite")
         if self.b and len(self.a) != len(self.b) - 1:
             raise SizeError(
                 f"need len(a) = len(b) - 1, got {len(self.a)} and {len(self.b)}"
@@ -188,16 +190,19 @@ def recurrence_coefficients(
 
     a_k is the product of B's sub and super entries across the k-th
     off-diagonal position, evaluated on the same expressions as
-    build_matrices so the identity holds bitwise.
+    build_matrices so the identity holds bitwise. A product that leaves
+    double range raises NumericalError.
     """
     if n < 0:
         raise SizeError(f"degree must be >= 0, got {n}")
     if n == 0:
         return CharPolyRecurrence(variant=variant, a=(), b=())
     m = build_matrices(eta, n, variant)
-    a = tuple(float(s * t) for s, t in zip(m.b_sub, m.b_super))
-    b = tuple(float(v) for v in m.b_diag)
-    return CharPolyRecurrence(variant=variant, a=a, b=b)
+    with np.errstate(over="ignore"):
+        a = (m.b_sub * m.b_super).tolist()
+    if not all(map(math.isfinite, a)):
+        raise NumericalError(f"degree {n}: a product a_k leaves double range")
+    return CharPolyRecurrence(variant=variant, a=tuple(a), b=tuple(m.b_diag.tolist()))
 
 
 def _needs_rescale(m: float) -> bool:
@@ -329,32 +334,27 @@ def charpoly_coefficients(rec: CharPolyRecurrence):
         )
     a_fr = [_as_fraction(x) for x in rec.a]
     b_fr = [_as_fraction(x) for x in rec.b]
-    exact = all(f is not None for f in a_fr) and all(f is not None for f in b_fr)
+    exact = all(f is not None for f in a_fr + b_fr)
     if exact:
-        a_list, b_list = a_fr, b_fr
-        zero, one = Fraction(0), Fraction(1)
+        a_list, b_list, zero, dtype = a_fr, b_fr, Fraction(0), object
     else:
-        a_list, b_list = list(rec.a), list(rec.b)
-        zero, one = 0.0, 1.0
-    p_prev = [zero]  # P_{-1} = 0
-    p_cur = [one]  # P_0 = 1
-    for k in range(rec.n):
-        a_k = a_list[k - 1] if k >= 1 else zero
-        b_k = b_list[k]
-        nxt = [zero] * (k + 2)
-        for j, c in enumerate(p_cur):  # beta * P_k
-            nxt[j + 1] += c
-        for j, c in enumerate(p_cur):
-            nxt[j] -= b_k * c
-        for j, c in enumerate(p_prev):
-            nxt[j] -= a_k * c
-        p_prev, p_cur = p_cur, nxt
-    bad = 0 if exact else sum(not math.isfinite(c) for c in p_cur)
+        a_list, b_list, zero, dtype = rec.a, rec.b, 0.0, float
+    # P_{-1} = 0 (no coefficients), P_0 = 1; P_{k+1} = beta P_k - b_k P_k
+    # - a_k P_{k-1}, subtracted in that order
+    p_prev, p_cur = np.zeros(0, dtype), np.full(1, zero + 1, dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_k, b_k in zip((zero, *a_list), b_list):
+            nxt = np.full(p_cur.size + 1, zero, dtype)
+            nxt[1:] += p_cur
+            nxt[:-1] -= b_k * p_cur
+            nxt[: p_prev.size] -= a_k * p_prev
+            p_prev, p_cur = p_cur, nxt
+    bad = 0 if exact else int(np.count_nonzero(~np.isfinite(p_cur)))
     if bad:
         raise NumericalError(
             f"degree {rec.n}: {bad} of {rec.n + 1} coefficients leave double range"
         )
-    return p_cur
+    return p_cur.tolist()
 
 
 def truncation_order(eta: EtaSequence, variant: Variant) -> int | None:
@@ -365,16 +365,14 @@ def truncation_order(eta: EtaSequence, variant: Variant) -> int | None:
     so an almost-hit usually means the input should be exact.
     """
     shift = 2 if variant is Variant.UNBOUNDED else -2
-    near = None
-    for n in range(1, eta.n_max + 1):
-        gap = abs(eta.values[n - 1] - (n + shift))
-        if gap < 1e-12:
-            return n
-        if gap < 1e-6 and near is None:
-            near = (n, gap)
-    if near is not None:
+    gap = np.abs(np.array(eta.values) - (np.arange(1, eta.n_max + 1) + shift))
+    hit = np.flatnonzero(gap < 1e-12)
+    if hit.size:
+        return int(hit[0]) + 1
+    near = np.flatnonzero(gap < 1e-6)
+    if near.size:
         warnings.warn(
-            f"eta_{near[0]} misses the truncation identity by {near[1]:.3e}; "
+            f"eta_{near[0] + 1} misses the truncation identity by {gap[near[0]]:.3e}; "
             "supply the exact value if truncation is intended",
             TruncationNearMissWarning,
             stacklevel=2,

@@ -151,17 +151,24 @@ def _eigenvalues(diag, sub, sup) -> np.ndarray:
     sweeps and resolves the eigenvalues small next to ||B||, beta(2) among
     them. The plain reversal P T P, which also swaps the off-diagonals, is
     as fast but loses digits on the rest of an ill-conditioned spectrum.
+
+    Only the signs of the products sub*sup choose the path, so a product
+    that overflows does so silently; a band of the chosen path that is not
+    finite raises NumericalError.
     """
     n = len(diag)
-    if n == 1:
-        return np.array([diag[0] + 0.0j])
-    prod = sub * sup
-    if np.all(prod > 0):
+    with np.errstate(over="ignore"):
+        prod = sub * sup
+    symmetric = np.all(prod > 0)
+    bands = (diag, np.sqrt(prod)) if symmetric else (diag[::-1], sub[::-1], sup[::-1])
+    if not all(np.isfinite(band).all() for band in bands):
+        raise NumericalError(f"N={n}: a band of the eigenproblem is not finite")
+    if symmetric:
         import scipy.linalg  # the one user in the package; kept off the import path
 
-        return scipy.linalg.eigvalsh_tridiagonal(diag, np.sqrt(prod)).astype(complex)
+        return scipy.linalg.eigvalsh_tridiagonal(*bands).astype(complex)
     try:
-        return np.linalg.eigvals(_dense(diag[::-1], sub[::-1], sup[::-1]))
+        return np.linalg.eigvals(_dense(*bands))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver did not converge for N={n}; diag={diag.tolist()} "
@@ -225,13 +232,10 @@ class MaxRealRoot:
 
 def _gershgorin_upper(rec: CharPolyRecurrence) -> float:
     # upper bound via the modulus-symmetrized tridiagonal matrix with the
-    # same characteristic polynomial (off-diagonals sqrt|a_n|)
-    r = [0.0] * rec.n
-    for k, a_k in enumerate(rec.a, start=1):
-        s = math.sqrt(abs(a_k))
-        r[k - 1] += s
-        r[k] += s
-    return max(b + rr for b, rr in zip(rec.b, r))
+    # same characteristic polynomial (off-diagonals sqrt|a_n|); row k's
+    # radius is s_k + s_(k+1), with s_n = sqrt|a_n| and s_0 = s_N = 0
+    s = np.sqrt(np.abs(np.array([0.0, *rec.a, 0.0])))
+    return float(np.max(np.array(rec.b) + (s[:-1] + s[1:])))
 
 
 def _eig_fallback(rec: CharPolyRecurrence) -> float:
@@ -341,11 +345,7 @@ def descartes_positive_count(coeffs) -> int:
     nz = [c for c in coeffs if c != 0]
     if not nz or nz[-1] != 1:
         raise ValidationError("descartes_positive_count expects a monic polynomial")
-    changes = 0
-    for prev, cur in zip(nz, nz[1:]):
-        if (prev > 0) != (cur > 0):
-            changes += 1
-    return changes
+    return sum((prev > 0) != (cur > 0) for prev, cur in zip(nz, nz[1:]))
 
 
 @dataclass(frozen=True)

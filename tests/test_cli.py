@@ -658,3 +658,40 @@ class TestOversizedRequests:
         assert main(list(args)) == 4
         assert time.perf_counter() - t0 < 1.0
         assert "exponent limit" in capsys.readouterr().err
+
+
+_HUGE_DRIVERS = (
+    ("--kappa", "1e200"),
+    ("--kappa", "1e300"),
+    ("--uniform-rate", "1e300"),
+    ("--atom", "3.14159:1e300"),
+)
+
+
+class TestOverflowingBands:
+    """Exponents near 1e300 put products a_n beyond double range. Bounded
+    systems have every a_n > 0, so the symmetric band sqrt(a_n) overflows:
+    exit 3 with one error line. Unbounded ones have a_1 < 0 and solve
+    densely, reading only the overflowing products' signs: exit 0, and no
+    RuntimeWarning, which pytest turns into an error."""
+
+    @pytest.mark.parametrize("variant", ["bounded", "unbounded"])
+    @pytest.mark.parametrize(
+        "args",
+        [("spectrum", "--n", "4", *d) for d in _HUGE_DRIVERS]
+        + [("beta2", "--m-max", "6", *d) for d in _HUGE_DRIVERS]
+        + [("sle-converge", "--m-max", "6", *d) for d in _HUGE_DRIVERS[:2]],
+        ids=lambda args: f"{args[0]}{args[-2]}={args[-1]}",
+    )
+    def test_exit_0_or_3_without_traceback(self, capsys, args, variant):
+        code = main([*args, "--variant", variant, "--json"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if variant == "bounded":
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0
+            assert err == ""
+            assert json.loads(out)

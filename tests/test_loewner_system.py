@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -24,11 +25,18 @@ from llespec import (
 from llespec.fuchsian_series import _local_bands
 from llespec.loewner_system import (
     CharPolyRecurrence,
+    _as_fraction,
     _charpoly_taylor,
     _dense,
 )
 from llespec.spectral_solver import _gershgorin_upper
-from tests.conftest import charpoly_log_abs, random_driver
+from tests.conftest import (
+    charpoly_log_abs,
+    loop_oracle_etas,
+    random_driver,
+    same_values,
+    truncating_etas,
+)
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)  # eta_n = n^2
 ETA_PLE1 = eta_sequence(LevyDriver(uniform_rate=1.0), 8)  # eta_n = 1
@@ -401,3 +409,150 @@ class TestTruncation:
         assert not [
             w for w in recwarn if issubclass(w.category, TruncationNearMissWarning)
         ]
+
+
+# The per-index loops that recurrence_coefficients, charpoly_coefficients and
+# truncation_order ran before their array forms, kept as oracles: the array
+# forms run the same operations in the same order, so they agree bitwise.
+
+
+def _recurrence_loop(eta, n, variant):
+    m = build_matrices(eta, n, variant)
+    a = tuple(float(s * t) for s, t in zip(m.b_sub, m.b_super))
+    return a, tuple(float(v) for v in m.b_diag)
+
+
+def _coefficients_loop(rec):
+    # non-finite floats are returned, not refused
+    a_fr = [_as_fraction(x) for x in rec.a]
+    b_fr = [_as_fraction(x) for x in rec.b]
+    exact = all(f is not None for f in a_fr) and all(f is not None for f in b_fr)
+    if exact:
+        a_list, b_list = a_fr, b_fr
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        a_list, b_list = list(rec.a), list(rec.b)
+        zero, one = 0.0, 1.0
+    p_prev = [zero]  # P_{-1} = 0
+    p_cur = [one]  # P_0 = 1
+    for k in range(rec.n):
+        a_k = a_list[k - 1] if k >= 1 else zero
+        b_k = b_list[k]
+        nxt = [zero] * (k + 2)
+        for j, c in enumerate(p_cur):  # beta * P_k
+            nxt[j + 1] += c
+        for j, c in enumerate(p_cur):
+            nxt[j] -= b_k * c
+        for j, c in enumerate(p_prev):
+            nxt[j] -= a_k * c
+        p_prev, p_cur = p_cur, nxt
+    return p_cur
+
+
+def _truncation_loop(eta, variant):
+    shift = 2 if variant is Variant.UNBOUNDED else -2
+    near = None
+    for n in range(1, eta.n_max + 1):
+        gap = abs(eta.values[n - 1] - (n + shift))
+        if gap < 1e-12:
+            return n
+        if gap < 1e-6 and near is None:
+            near = (n, gap)
+    if near is not None:
+        warnings.warn(
+            f"eta_{near[0]} misses the truncation identity by {near[1]:.3e}; "
+            "supply the exact value if truncation is intended",
+            TruncationNearMissWarning,
+            stacklevel=2,
+        )
+    return None
+
+
+def _signed_zero_recurrences(rng, n_max):
+    # float-path recurrences (pi-scaled entries) with exact and signed zeros
+    for n in range(1, n_max + 1):
+        a, b = np.pi * rng.standard_normal((2, n))
+        for band in (a, b):
+            band[rng.random(n) < 0.3] = 0.0
+            band[rng.random(n) < 0.3] = -0.0
+        yield CharPolyRecurrence(
+            Variant.UNBOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
+        )
+
+
+def _scan(scan, eta, variant):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = scan(eta, variant)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+class TestArrayFormsMatchTheLoops:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_products_bitwise(self, rng, variant):
+        etas = loop_oracle_etas(rng, 300)
+        systems = [(n, eta) for eta in etas for n in range(1, 301)]
+        for n, eta in systems + truncating_etas(300):
+            rec = recurrence_coefficients(eta, n, variant)
+            a, b = _recurrence_loop(eta, n, variant)
+            assert same_values(rec.a, a) and same_values(rec.b, b), n
+            assert type(rec.a) is tuple and type(rec.b) is tuple
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_coefficient_expansion_bitwise(self, rng, variant):
+        paths = set()
+        for eta in loop_oracle_etas(rng, 40):
+            for n in range(1, 41):
+                rec = recurrence_coefficients(eta, n, variant)
+                want = _coefficients_loop(rec)
+                assert same_values(charpoly_coefficients(rec), want), n
+                paths.add(type(want[0]))
+        assert paths == {Fraction, float}
+        for rec in _signed_zero_recurrences(rng, 40):
+            assert same_values(charpoly_coefficients(rec), _coefficients_loop(rec))
+
+    def test_coefficient_overflow_counted_as_before(self, rng):
+        # entries near 1e100 (integers in double precision, so b_0 = pi
+        # keeps the float path) leave double range within a few degrees,
+        # through inf and inf - inf = nan; the count of both is unchanged
+        for n in range(1, 12):
+            a, b = 1e100 * rng.standard_normal((2, n))
+            b[0] = np.pi
+            rec = CharPolyRecurrence(
+                Variant.BOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
+            )
+            want = _coefficients_loop(rec)
+            bad = sum(not np.isfinite(c) for c in want)
+            if bad:
+                with pytest.raises(NumericalError, match=f": {bad} of {n + 1} "):
+                    charpoly_coefficients(rec)
+            else:
+                assert same_values(charpoly_coefficients(rec), want)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_truncation_scan_bitwise(self, rng, variant):
+        prefixes = [
+            validate_eta(eta.values[:k])
+            for eta in loop_oracle_etas(rng, 300)
+            for k in range(1, 301)
+        ]
+        # misses by 9e-7 and 2e-12 warn, by 1.1e-6 not; an exact hit after
+        # a near miss returns without a warning, and of two hits the first
+        # is returned
+        shift = 2 if variant is Variant.UNBOUNDED else -2
+        near = []
+        for n, eta in truncating_etas(40):
+            for off in (9e-7, 2e-12, 1.1e-6, 0.0):
+                vals = list(eta.values)
+                vals[n - 1] = n + shift + off
+                near.append(validate_eta(vals))
+                vals[n] = n + 1 + shift
+                near.append(validate_eta(vals))
+        etas = prefixes + [eta for _, eta in truncating_etas(300)] + near
+        warned = 0
+        for eta in etas:
+            got = _scan(truncation_order, eta, variant)
+            assert got == _scan(_truncation_loop, eta, variant)
+            assert got[0] is None or type(got[0]) is int
+            warned += bool(got[1])
+        assert warned > 0

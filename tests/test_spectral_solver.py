@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -39,11 +40,36 @@ from llespec.spectral_solver import (
     _newton_from_above,
     _resonant,
 )
-from tests.conftest import random_driver
+from tests.conftest import (
+    loop_oracle_etas,
+    random_driver,
+    same_values,
+    truncating_etas,
+)
 
 ETA_SLE2 = eta_sequence(LevyDriver(kappa=2.0), 8)
 ETA_PLE1 = eta_sequence(LevyDriver(uniform_rate=1.0), 8)
 ETA_SLE_N6 = eta_sequence(LevyDriver(kappa=2.0 * 8 / 36), 8)  # kappa_6 = 4/9
+
+
+def _gershgorin_loop(rec):
+    """The per-index loop that _gershgorin_upper replaced, kept as the
+    oracle."""
+    r = [0.0] * rec.n
+    for k, a_k in enumerate(rec.a, start=1):
+        s = math.sqrt(abs(a_k))
+        r[k - 1] += s
+        r[k] += s
+    return max(b + rr for b, rr in zip(rec.b, r))
+
+
+def _descartes_loop(nz):
+    """The sign-change loop that descartes_positive_count replaced."""
+    changes = 0
+    for prev, cur in zip(nz, nz[1:]):
+        if (prev > 0) != (cur > 0):
+            changes += 1
+    return changes
 
 
 def _cluster_all_pairs(eigs, tol):
@@ -123,6 +149,17 @@ class TestEigenSpectrum:
         s = eigen_spectrum(build_matrices(ETA_SLE2, 1, Variant.UNBOUNDED))
         assert s.eigenvalues == ((3.0 + 0.0j),)
         assert s.max_real == 3.0
+
+    @pytest.mark.parametrize(
+        "b0", [3.0, -1.0, 0.0, -0.0, 5e-324, 1e300, -1e300, 1e308]
+    )
+    def test_one_by_one_is_its_diagonal_entry(self, b0):
+        # the symmetric solver returns a 1 x 1 diagonal exactly, signed zero
+        # included; build_matrices puts 3 (unbounded) or -1 (bounded) there
+        eigs = _eigenvalues(np.array([b0]), np.zeros(0), np.zeros(0))
+        assert eigs.dtype == np.complex128
+        assert eigs.real.tobytes() == np.array([b0]).tobytes()
+        assert eigs.imag.tobytes() == np.zeros(1).tobytes()
 
     def test_bounded_n3_values(self):
         # kappa_3 = 2/9: eta_n = n^2/9 truncates at N = 3
@@ -359,6 +396,16 @@ class TestMaxRealRoot:
         with pytest.raises(SizeError):
             max_real_root_detailed(rec)
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_gershgorin_bound_matches_the_loop(self, rng, variant):
+        etas = loop_oracle_etas(rng, 300)
+        systems = [(n, eta) for eta in etas for n in range(1, 301)]
+        for n, eta in systems + truncating_etas(300):
+            rec = recurrence_coefficients(eta, n, variant)
+            got, want = _gershgorin_upper(rec), _gershgorin_loop(rec)
+            assert same_values([got], [want]), n
+
+
     def test_even_multiplicity_falls_back(self):
         # (beta - 1)^2 has no sign change; the eigenvalue route takes over
         rec = CharPolyRecurrence(variant=Variant.UNBOUNDED, a=(0.0,), b=(1.0, 1.0))
@@ -375,6 +422,45 @@ class TestMaxRealRoot:
                 root = max_real_root_detailed(rec).value
                 eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
                 assert root == pytest.approx(eig, abs=1e-8)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_recurrence_refuses_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CharPolyRecurrence(Variant.UNBOUNDED, a=(bad,), b=(1.0, 2.0))
+        with pytest.raises(ValidationError, match="finite"):
+            CharPolyRecurrence(Variant.UNBOUNDED, a=(1.0,), b=(1.0, bad))
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e300])
+    def test_overflowing_product_is_numerical_error(self, kappa):
+        # a_k is about (eta_k / 2)^2 in both variants
+        eta = eta_sequence(LevyDriver(kappa=kappa), 4)
+        for variant in Variant:
+            with pytest.raises(NumericalError, match="leaves double range"):
+                recurrence_coefficients(eta, 4, variant)
+
+    @pytest.mark.parametrize(
+        "diag, sub, sup",
+        [
+            ([1.0, 2.0], [1e200], [1e200]),  # symmetric band sqrt(inf)
+            ([1.0, math.inf], [1.0], [1.0]),  # symmetric path
+            ([1.0, 2.0], [math.nan], [1.0]),  # dense path (nan > 0 is False)
+            ([1.0, math.inf], [-1.0], [1.0]),  # dense path
+        ],
+    )
+    def test_non_finite_band_is_numerical_error(self, diag, sub, sup):
+        with pytest.raises(NumericalError, match="not finite"):
+            _eigenvalues(np.array(diag), np.array(sub), np.array(sup))
+
+    def test_overflowing_negative_product_takes_the_dense_path(self):
+        # only the product's sign is read: -inf sends the finite bands to
+        # the dense solver, with no overflow warning
+        eigs = _eigenvalues(
+            np.array([0.0, 0.0]), np.array([1e200]), np.array([-1e200])
+        )
+        np.testing.assert_allclose(np.sort(eigs.imag), [-1e200, 1e200])
+        np.testing.assert_array_equal(eigs.real, [0.0, 0.0])
 
 
 class TestCertifiedRoute2:
@@ -520,6 +606,18 @@ class TestCertifiedRoute2:
 
 
 class TestDescartes:
+    def test_count_matches_the_loop(self, rng):
+        # random sign patterns with zeros of both signs; the last nonzero
+        # entry is the monic 1
+        for _ in range(2000):
+            size = rng.integers(0, 12)
+            coeffs = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0], size)
+            coeffs = [*coeffs.tolist(), *[0.0] * int(rng.integers(0, 2)), 1.0]
+            coeffs += [0.0, -0.0][: int(rng.integers(0, 3))]
+            got = descartes_positive_count(coeffs)
+            assert type(got) is int
+            assert got == _descartes_loop([c for c in coeffs if c != 0])
+
     def test_ple_coefficients(self):
         # -1, 5, 5, 1: one sign change, one positive root
         assert descartes_positive_count([-1.0, 5.0, 5.0, 1.0]) == 1
