@@ -7,6 +7,9 @@ integration and tests. The first row of each matrix follows the displayed
 form verbatim: its off-diagonal entry differs from the generic band formula
 by a factor of 2, absorbed by folding the negative mode
 (theta_{-1} = xi^{+/-1} theta_1).
+
+The recurrence runs at a point in `charpoly_eval` and on coefficient vectors
+only in `_charpoly_taylor`, which `charpoly_coefficients` takes at 0.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .errors import (
     TruncationNearMissWarning,
     ValidationError,
 )
-from .levy_driver import EtaSequence
+from .levy_driver import EtaSequence, _number
 
 __all__ = [
     "Variant",
@@ -42,6 +44,8 @@ __all__ = [
 # lazy rescaling thresholds for the charpoly recurrence pair
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
+# the Taylor pass's rounding bound per unit of its terms' magnitudes, 8u
+_BOUND_U = 8 * 2.0**-53
 
 COEFFICIENT_LIMIT = 512
 
@@ -161,7 +165,8 @@ class CharPolyRecurrence:
     """Coefficients of P_{n+1} = (beta - b_n) P_n - a_n P_{n-1}.
 
     a covers a_1..a_{N-1}, b covers b_0..b_{N-1}; N = len(b). N = 0 (both
-    empty) is allowed and makes P_N identically 1. Every entry is finite.
+    empty) is allowed and makes P_N identically 1. Entries are finite
+    numbers, not bools, stored as tuples of floats.
     """
 
     variant: Variant
@@ -169,14 +174,16 @@ class CharPolyRecurrence:
     b: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (*self.a, *self.b)):
+        a = tuple([_number(v, "a_n") for v in self.a])
+        b = tuple([_number(v, "b_n") for v in self.b])
+        if not all(map(math.isfinite, a + b)):
             raise ValidationError("every a_n and b_n of a recurrence must be finite")
-        if self.b and len(self.a) != len(self.b) - 1:
-            raise SizeError(
-                f"need len(a) = len(b) - 1, got {len(self.a)} and {len(self.b)}"
-            )
-        if not self.b and self.a:
+        if b and len(a) != len(b) - 1:
+            raise SizeError(f"need len(a) = len(b) - 1, got {len(a)} and {len(b)}")
+        if not b and a:
             raise SizeError("a must be empty when b is empty")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
@@ -242,26 +249,31 @@ def charpoly_eval(rec: CharPolyRecurrence, x) -> tuple:
     return p_cur, d_cur, log_scale
 
 
-def _rescale_pair(prev: np.ndarray, cur: np.ndarray) -> None:
+def _rescale_pair(prev: np.ndarray, cur: np.ndarray) -> int:
     """Lazy rescaling of a vector recurrence pair, in place, by a power of
-    two, so that it rounds nothing. As in charpoly_eval, the newer
+    two 2^-e; returns e (0 when unscaled). As in charpoly_eval, the newer
     vector is tested first and the pair decides the scale."""
     m = float(np.abs(cur).max())
     if not _RESCALE_LO <= m <= _RESCALE_HI:
         m = max(m, float(np.abs(prev).max()))
         if _needs_rescale(m):
-            s = math.ldexp(1.0, -math.frexp(m)[1])
+            e = math.frexp(m)[1]
+            s = math.ldexp(1.0, -e)
             prev *= s
             cur *= s
+            return e
+    return 0
 
 
 def _charpoly_taylor(
     rec: CharPolyRecurrence, c: float, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Taylor coefficients of P_N at c in the variable t = (beta - c) / scale,
-    ascending, and a bound on their rounding errors, both times the same
-    positive factor. scale, a power of two near |P_N(c)|^(1/N), keeps the
-    coefficients within range of each other.
+    ascending, and a bound on their rounding errors, both times 2^-e for the
+    returned e, the sum of `_rescale_pair`'s exponents. Those rescalings are
+    exact down to 2^-1022 of the running scale, the pass's resolution. scale,
+    a power of two near |P_N(c)|^(1/N), keeps the coefficients within range
+    of each other.
 
     The recurrence runs on coefficient vectors: P_{k+1}(c + scale t) is
     (c - b_k + scale t) P_k(c + scale t) - a_k P_{k-1}(c + scale t).
@@ -298,6 +310,7 @@ def _charpoly_taylor(
     # recurrence on absolute values
     prev, cur = np.zeros((2, n + 1)), np.zeros((2, n + 1))
     cur[0, 0] = 1.0
+    exponent = 0
     for k in range(n):
         lam = abs(d[k]) * np.abs(cur[0]) + abs(a[k]) * np.abs(prev[0])
         lam[1:] += scale * np.abs(cur[0, :-1])
@@ -307,54 +320,36 @@ def _charpoly_taylor(
         nxt[:, 1:] += scale * cur[:, :-1]
         nxt[1] += lam
         prev, cur = cur, nxt
-        _rescale_pair(prev, cur)
-    return cur[0], cur[1] * (8 * 2.0**-53)
+        exponent += _rescale_pair(prev, cur)
+    return cur[0], cur[1] * _BOUND_U, exponent
 
 
-def _as_fraction(x: float) -> Fraction | None:
-    """Exact small-denominator rational behind x, or None.
-
-    The denominator cap keeps the detector honest: with a bound this size a
-    continued-fraction convergent of a generic float misses it by ~1e-12,
-    far more than a half ulp, so only genuine small rationals round-trip.
-    """
-    f = Fraction(x).limit_denominator(10**6)
-    return f if float(f) == x else None
-
-
-def charpoly_coefficients(rec: CharPolyRecurrence):
-    """Monomial coefficients of P_N, ascending (beta^0 .. beta^N).
-
-    Exact Fractions when every a_n, b_n hides a small-denominator rational,
-    floats otherwise; floats that leave double range raise NumericalError.
+def charpoly_coefficients(rec: CharPolyRecurrence) -> list[float]:
+    """Monomial coefficients of P_N, ascending (beta^0 .. beta^N), as floats:
+    the Taylor pass at 0 times its power of two, each within the pass's
+    bound of the exact expansion. NumericalError when a coefficient leaves
+    double range, or when the pass rescaled and the terms of a coefficient
+    (their magnitudes, the bound / 8u) sum below 2^-1022 of the running
+    scale: that coefficient may have been flushed to zero.
     """
     if rec.n > COEFFICIENT_LIMIT:
         raise CapacityError(
             f"degree {rec.n} exceeds the coefficient limit {COEFFICIENT_LIMIT}"
         )
-    a_fr = [_as_fraction(x) for x in rec.a]
-    b_fr = [_as_fraction(x) for x in rec.b]
-    exact = all(f is not None for f in a_fr + b_fr)
-    if exact:
-        a_list, b_list, zero, dtype = a_fr, b_fr, Fraction(0), object
-    else:
-        a_list, b_list, zero, dtype = rec.a, rec.b, 0.0, float
-    # P_{-1} = 0 (no coefficients), P_0 = 1; P_{k+1} = beta P_k - b_k P_k
-    # - a_k P_{k-1}, subtracted in that order
-    p_prev, p_cur = np.zeros(0, dtype), np.full(1, zero + 1, dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a_k, b_k in zip((zero, *a_list), b_list):
-            nxt = np.full(p_cur.size + 1, zero, dtype)
-            nxt[1:] += p_cur
-            nxt[:-1] -= b_k * p_cur
-            nxt[: p_prev.size] -= a_k * p_prev
-            p_prev, p_cur = p_cur, nxt
-    bad = 0 if exact else int(np.count_nonzero(~np.isfinite(p_cur)))
+        t, err, exponent = _charpoly_taylor(rec, 0.0, 1.0)
+        coeffs = np.ldexp(t, exponent)
+    bad = int(np.count_nonzero(~np.isfinite(coeffs)))
     if bad:
         raise NumericalError(
             f"degree {rec.n}: {bad} of {rec.n + 1} coefficients leave double range"
         )
-    return p_cur.tolist()
+    if exponent and not np.all(err >= _BOUND_U * 2.0**-1022):
+        raise NumericalError(
+            f"degree {rec.n}: a coefficient falls below the resolution of the "
+            "rescaled expansion"
+        )
+    return coeffs.tolist()
 
 
 def truncation_order(eta: EtaSequence, variant: Variant) -> int | None:

@@ -302,7 +302,7 @@ def _certified_top_root(rec: CharPolyRecurrence, x: float) -> bool:
     if not p > 0.0:  # t_0 = P_N(c) must be positive
         return False
     scale = math.ldexp(1.0, round((math.log(p) + log_scale) / (rec.n * math.log(2.0))))
-    t, err = _charpoly_taylor(rec, c, scale)
+    t, err, _ = _charpoly_taylor(rec, c, scale)
     if not np.all(t > err):
         return False
     # P_N(c - h) from the same coefficients; the factor 2 covers the

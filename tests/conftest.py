@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,22 @@ def truncating_etas(n_max: int) -> list:
 def same_values(got, want) -> bool:
     """Equal entry by entry in type and value, signed zeros included."""
     return [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+
+
+def exact_charpoly(rec) -> list:
+    """Monomial coefficients of P_N, ascending, as exact Fractions: every
+    float is a rational, so the expansion of the entries' own values is
+    exact."""
+    a = [Fraction(0)] + [Fraction(x) for x in rec.a]
+    p_prev, p_cur = [], [Fraction(1)]
+    for a_k, b_k in zip(a, map(Fraction, rec.b)):
+        nxt = [Fraction(0)] + p_cur
+        for j, c in enumerate(p_cur):
+            nxt[j] -= b_k * c
+        for j, c in enumerate(p_prev):
+            nxt[j] -= a_k * c
+        p_prev, p_cur = p_cur, nxt
+    return p_cur
 
 
 def charpoly_log_abs(rec, x) -> float:

@@ -272,11 +272,12 @@ class TestDeterminism:
         assert out1 == out2
 
     @pytest.mark.parametrize(
-        "module", ["scipy.integrate", "scipy.linalg", "scipy.special"]
+        "module", ["scipy.integrate", "scipy.linalg", "scipy.special", "fractions"]
     )
     def test_import_leaves_scipy_unloaded(self, module):
         # the integrator, the symmetric tridiagonal solver and the special
-        # functions are each imported by the functions that call them
+        # functions are each imported by the functions that call them; no
+        # code path computes in exact rationals
         proc = subprocess.run(
             [
                 sys.executable,

@@ -13,6 +13,7 @@ from llespec import (
     NumericalError,
     SizeError,
     TruncationNearMissWarning,
+    ValidationError,
     Variant,
     build_matrices,
     charpoly_coefficients,
@@ -25,13 +26,13 @@ from llespec import (
 from llespec.fuchsian_series import _local_bands
 from llespec.loewner_system import (
     CharPolyRecurrence,
-    _as_fraction,
     _charpoly_taylor,
     _dense,
 )
-from llespec.spectral_solver import _gershgorin_upper
+from llespec.spectral_solver import _gershgorin_upper, max_real_root_detailed
 from tests.conftest import (
     charpoly_log_abs,
+    exact_charpoly,
     loop_oracle_etas,
     random_driver,
     same_values,
@@ -171,6 +172,21 @@ class TestRecurrence:
         # (eta_2 - 2 + 2)(eta_1 + 3)/4 = (4/9)(28/9)/4 = 28/81
         assert rec.a[1] == pytest.approx(28.0 / 81.0, rel=1e-15)
 
+    def test_lists_and_arrays_become_float_tuples(self):
+        for a, b in (([1.0], [0.0, 5.0]), (np.array([1]), np.array([0.0, 5.0]))):
+            rec = CharPolyRecurrence(Variant.UNBOUNDED, a=a, b=b)
+            assert same_values(rec.a, (1.0,)) and same_values(rec.b, (0.0, 5.0))
+            assert type(rec.a) is tuple and type(rec.b) is tuple
+            assert charpoly_eval(rec, 1.0) == (-5.0, -3.0, 0.0)
+            assert max_real_root_detailed(rec).value == pytest.approx((5 + 29**0.5) / 2)
+
+    @pytest.mark.parametrize("bad", [True, "x", None, 1j])
+    def test_bools_and_non_numbers_refused(self, bad):
+        with pytest.raises(ValidationError, match="a_n must be a number"):
+            CharPolyRecurrence(Variant.UNBOUNDED, a=(bad,), b=(0.0, 5.0))
+        with pytest.raises(ValidationError, match="b_n must be a number"):
+            CharPolyRecurrence(Variant.UNBOUNDED, a=(1.0,), b=(0.0, bad))
+
     def test_offdiagonal_product_identity(self, rng):
         # a_n equals the product of B's matching sub and super entries
         for variant in Variant:
@@ -236,7 +252,7 @@ class TestCharPolyEval:
 
 
 def _exact_system(rng, n, variant):
-    """Recurrence with small-rational eta, so charpoly_coefficients is exact."""
+    """Recurrence with small-rational eta."""
     eta = validate_eta(rng.integers(0, 40, size=n) / 4.0)
     return recurrence_coefficients(eta, n, variant)
 
@@ -247,7 +263,7 @@ class TestNewtonPair:
             for _ in range(10):
                 n = int(rng.integers(1, 10))
                 rec = _exact_system(rng, n, variant)
-                coeffs = charpoly_coefficients(rec)
+                coeffs = exact_charpoly(rec)
                 for x in rng.uniform(-8, 12, size=3):
                     xf = Fraction(float(x))
                     p = sum(c * xf**k for k, c in enumerate(coeffs))
@@ -276,7 +292,7 @@ class TestCharPolyTaylor:
             for _ in range(10):
                 n = int(rng.integers(2, 10))
                 rec = _exact_system(rng, n, variant)
-                coeffs = charpoly_coefficients(rec)
+                coeffs = exact_charpoly(rec)
                 # above every root of every trailing block, where the bound holds
                 c = _gershgorin_upper(rec) + float(rng.uniform(0.0, 5.0))
                 scale = 4.0
@@ -286,7 +302,7 @@ class TestCharPolyTaylor:
                     * sf**k
                     for k in range(n + 1)
                 ]
-                t, err = _charpoly_taylor(rec, c, scale)
+                t, err, _ = _charpoly_taylor(rec, c, scale)
                 factor = Fraction(float(t[-1])) / exact[-1]  # a power of two
                 for tk, ek, want in zip(t, err, exact):
                     assert abs(Fraction(float(tk)) / factor - want) <= Fraction(
@@ -317,27 +333,37 @@ class TestCharPolyTaylor:
 
 def _assert_within_bound(rec, c, scale):
     """_charpoly_taylor's coefficients at c lie within their finite bounds of
-    the exact shift of charpoly_coefficients (exact for small rationals)."""
-    coeffs = charpoly_coefficients(rec)
+    the exact shift of the exact expansion."""
+    coeffs = exact_charpoly(rec)
     n = rec.n
     cf, sf = Fraction(c), Fraction(scale)
     exact = [
         sum(coeffs[j] * comb(j, k) * cf ** (j - k) for j in range(k, n + 1)) * sf**k
         for k in range(n + 1)
     ]
-    t, err = _charpoly_taylor(rec, c, scale)
+    t, err, _ = _charpoly_taylor(rec, c, scale)
     assert np.all(np.isfinite(err))
     factor = Fraction(float(t[-1])) / exact[-1]  # a power of two
     for tk, ek, want in zip(t, err, exact):
         assert abs(Fraction(float(tk)) / factor - want) <= Fraction(float(ek)) / factor
 
 
+def _signed_zero_recurrences(rng, n_max):
+    # pi-scaled recurrences with exact and signed zeros
+    for n in range(1, n_max + 1):
+        a, b = np.pi * rng.standard_normal((2, n))
+        for band in (a, b):
+            band[rng.random(n) < 0.3] = 0.0
+            band[rng.random(n) < 0.3] = -0.0
+        yield CharPolyRecurrence(
+            Variant.UNBOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
+        )
+
+
 class TestCharPolyCoefficients:
     def test_bounded_ple_exact(self):
         rec = recurrence_coefficients(ETA_PLE1, 3, Variant.BOUNDED)
-        coeffs = charpoly_coefficients(rec)
-        assert coeffs == [Fraction(-1), Fraction(5), Fraction(5), Fraction(1)]
-        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert same_values(charpoly_coefficients(rec), [-1.0, 5.0, 5.0, 1.0])
 
     def test_unbounded_exact(self):
         rec = recurrence_coefficients(ETA_SLE2, 2, Variant.UNBOUNDED)
@@ -360,10 +386,61 @@ class TestCharPolyCoefficients:
         with pytest.raises(CapacityError):
             charpoly_coefficients(rec)
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_expansion_within_its_bound(self, rng, variant):
+        # random, small-rational and integer drivers at N = 1..40, and float
+        # recurrences with exact and signed zeros
+        recs = [
+            recurrence_coefficients(eta, n, variant)
+            for eta in loop_oracle_etas(rng, 40)
+            for n in range(1, 41)
+        ]
+        for rec in recs + list(_signed_zero_recurrences(rng, 40)):
+            got = charpoly_coefficients(rec)
+            _, err, exponent = _charpoly_taylor(rec, 0.0, 1.0)
+            bound = np.ldexp(err, exponent)
+            assert np.all(np.isfinite(bound)) and all(type(c) is float for c in got)
+            for c, e, want in zip(got, bound, exact_charpoly(rec)):
+                assert abs(Fraction(c) - want) <= Fraction(float(e)), rec.n
+
+    def test_overflow_raised_exactly_when_exact_overflows(self, rng):
+        # entries near 1e100 leave double range within a few degrees
+        top = Fraction(np.finfo(float).max)
+        for n in range(1, 12):
+            a, b = 1e100 * rng.standard_normal((2, n))
+            b[0] = np.pi
+            rec = CharPolyRecurrence(
+                Variant.BOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
+            )
+            if max(abs(c) for c in exact_charpoly(rec)) > top:
+                with pytest.raises(NumericalError, match=f"degree {n}:"):
+                    charpoly_coefficients(rec)
+            else:
+                assert all(np.isfinite(charpoly_coefficients(rec)))
+
+    def test_rescaled_cancellation_is_never_flushed(self):
+        # 1e154 and -1e154 cancel in the beta^2 coefficient, -1e-20 exactly,
+        # after a rescale by about 2^-1024
+        rec = CharPolyRecurrence(
+            Variant.UNBOUNDED, a=(0.0, 0.0), b=(1e154, -1e154, 1e-20)
+        )
+        try:
+            assert charpoly_coefficients(rec)[2] == -1e-20
+        except NumericalError:
+            pass
+
+    def test_rescaled_pass_keeps_a_zero_made_of_resolved_terms(self):
+        # P_2 = beta^2 - 2 beta + (1 - 1); P_3 = (beta - 1e160) P_2 rescales
+        rec = CharPolyRecurrence(Variant.UNBOUNDED, a=(1.0, 0.0), b=(1.0, 1.0, 1e160))
+        assert _charpoly_taylor(rec, 0.0, 1.0)[2] > 0
+        got = charpoly_coefficients(rec)
+        assert same_values(got, [float(c) for c in exact_charpoly(rec)])
+        assert same_values(got[:1], [0.0])
+
 
 class TestCharPolyCoefficientRange:
-    # unbounded kappa = sqrt(2) takes the float path; its coefficients leave
-    # double range from about degree 150
+    # unbounded kappa = sqrt(2): its coefficients leave double range from
+    # about degree 150
     @staticmethod
     def _rec(n):
         eta = eta_sequence(LevyDriver(kappa=np.sqrt(2.0)), n)
@@ -411,42 +488,15 @@ class TestTruncation:
         ]
 
 
-# The per-index loops that recurrence_coefficients, charpoly_coefficients and
-# truncation_order ran before their array forms, kept as oracles: the array
-# forms run the same operations in the same order, so they agree bitwise.
+# The per-index loops that recurrence_coefficients and truncation_order ran
+# before their array forms, kept as oracles: the array forms run the same
+# operations in the same order, so they agree bitwise.
 
 
 def _recurrence_loop(eta, n, variant):
     m = build_matrices(eta, n, variant)
     a = tuple(float(s * t) for s, t in zip(m.b_sub, m.b_super))
     return a, tuple(float(v) for v in m.b_diag)
-
-
-def _coefficients_loop(rec):
-    # non-finite floats are returned, not refused
-    a_fr = [_as_fraction(x) for x in rec.a]
-    b_fr = [_as_fraction(x) for x in rec.b]
-    exact = all(f is not None for f in a_fr) and all(f is not None for f in b_fr)
-    if exact:
-        a_list, b_list = a_fr, b_fr
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        a_list, b_list = list(rec.a), list(rec.b)
-        zero, one = 0.0, 1.0
-    p_prev = [zero]  # P_{-1} = 0
-    p_cur = [one]  # P_0 = 1
-    for k in range(rec.n):
-        a_k = a_list[k - 1] if k >= 1 else zero
-        b_k = b_list[k]
-        nxt = [zero] * (k + 2)
-        for j, c in enumerate(p_cur):  # beta * P_k
-            nxt[j + 1] += c
-        for j, c in enumerate(p_cur):
-            nxt[j] -= b_k * c
-        for j, c in enumerate(p_prev):
-            nxt[j] -= a_k * c
-        p_prev, p_cur = p_cur, nxt
-    return p_cur
 
 
 def _truncation_loop(eta, variant):
@@ -468,18 +518,6 @@ def _truncation_loop(eta, variant):
     return None
 
 
-def _signed_zero_recurrences(rng, n_max):
-    # float-path recurrences (pi-scaled entries) with exact and signed zeros
-    for n in range(1, n_max + 1):
-        a, b = np.pi * rng.standard_normal((2, n))
-        for band in (a, b):
-            band[rng.random(n) < 0.3] = 0.0
-            band[rng.random(n) < 0.3] = -0.0
-        yield CharPolyRecurrence(
-            Variant.UNBOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
-        )
-
-
 def _scan(scan, eta, variant):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -497,37 +535,6 @@ class TestArrayFormsMatchTheLoops:
             a, b = _recurrence_loop(eta, n, variant)
             assert same_values(rec.a, a) and same_values(rec.b, b), n
             assert type(rec.a) is tuple and type(rec.b) is tuple
-
-    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_coefficient_expansion_bitwise(self, rng, variant):
-        paths = set()
-        for eta in loop_oracle_etas(rng, 40):
-            for n in range(1, 41):
-                rec = recurrence_coefficients(eta, n, variant)
-                want = _coefficients_loop(rec)
-                assert same_values(charpoly_coefficients(rec), want), n
-                paths.add(type(want[0]))
-        assert paths == {Fraction, float}
-        for rec in _signed_zero_recurrences(rng, 40):
-            assert same_values(charpoly_coefficients(rec), _coefficients_loop(rec))
-
-    def test_coefficient_overflow_counted_as_before(self, rng):
-        # entries near 1e100 (integers in double precision, so b_0 = pi
-        # keeps the float path) leave double range within a few degrees,
-        # through inf and inf - inf = nan; the count of both is unchanged
-        for n in range(1, 12):
-            a, b = 1e100 * rng.standard_normal((2, n))
-            b[0] = np.pi
-            rec = CharPolyRecurrence(
-                Variant.BOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
-            )
-            want = _coefficients_loop(rec)
-            bad = sum(not np.isfinite(c) for c in want)
-            if bad:
-                with pytest.raises(NumericalError, match=f": {bad} of {n + 1} "):
-                    charpoly_coefficients(rec)
-            else:
-                assert same_values(charpoly_coefficients(rec), want)
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_truncation_scan_bitwise(self, rng, variant):
