@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
 
 __all__ = [
@@ -33,9 +35,9 @@ _ETA_LIMIT = 1 << 20
 
 
 def _number(value, field: str) -> float:
-    """value as a float; a bool, or anything float() rejects, raises
-    ValidationError naming the field."""
-    if not isinstance(value, bool):
+    """value as a float; a bool (numpy's too), a str or bytes, or anything
+    float() rejects, raises ValidationError naming the field."""
+    if not isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
         try:
             return float(value)
         except (TypeError, ValueError):

@@ -9,14 +9,19 @@ change among the Taylor coefficients of P_N just above it, scaled by
 below it). Only when the certificate is inconclusive does the eigensolver
 take part, and the result then says so (used_fallback=True).
 
-Solver choice (`_eigenvalues`, the package's only eigensolver call): when
-every off-diagonal product a_n is positive, B is diagonally similar to the
-symmetric tridiagonal matrix with off-diagonals sqrt(a_n) and an
+Solver choice (`_eigenvalues`, the package's only whole-spectrum solver):
+when every off-diagonal product a_n is positive, B is diagonally similar to
+the symmetric tridiagonal matrix with off-diagonals sqrt(a_n) and an
 implicit-shift symmetric solver applies (real output guaranteed). Otherwise
 B, already Hessenberg, goes through a real double-shift QR reduction of the
 dense matrix, for N up to loewner_system.DENSE_LIMIT, flipped about its
 anti-diagonal: graded downward, it solves in about half the time, with
 beta(2) to ~1e-15 where B as it stands loses up to 1e-11 (N = 200-1000).
+
+The other eigensolver is `_shifted_top`, one eigenvalue by Rayleigh
+quotient iteration on the tridiagonal LU. Only sequence mode calls it, on
+the dense path above M = 128, between the dense solves that check it
+(`_max_real_sequence`).
 """
 
 from __future__ import annotations
@@ -56,6 +61,14 @@ CLUSTER_TOL = 1e-7
 _NEWTON_MAX_STEPS = 1000
 _CERT_REL = 1e-9
 _AGREE_REL = 1e-8
+
+# route 1's sequence mode: dense solves up to M = _SHIFT_FROM, shifted
+# Rayleigh quotient iteration above it, settled within _RQI_STEPS steps at a
+# step of 8u on the quotient's scale, and checked on the grid to _CHECK_REL
+_SHIFT_FROM = 128
+_RQI_STEPS = 8
+_SETTLED_U = 8 * 2.0**-53
+_CHECK_REL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,7 @@ def _eigenvalues(diag, sub, sup) -> np.ndarray:
     if not all(np.isfinite(band).all() for band in bands):
         raise NumericalError(f"N={n}: a band of the eigenproblem is not finite")
     if symmetric:
-        import scipy.linalg  # the one user in the package; kept off the import path
+        import scipy.linalg  # kept off the import path
 
         return scipy.linalg.eigvalsh_tridiagonal(*bands).astype(complex)
     try:
@@ -190,6 +203,59 @@ def _top_eigenvalue(m: LoewnerMatrices, n: int) -> float:
     return _max_real(_eigenvalues(m.b_diag[:n], m.b_sub[: n - 1], m.b_super[: n - 1]))
 
 
+def _unit(v: np.ndarray) -> np.ndarray | None:
+    """v over its 2-norm; None when that norm is zero or not finite."""
+    norm = math.sqrt(float(v @ v))
+    return v / norm if 0.0 < norm < math.inf else None
+
+
+def _shifted_top(
+    m: LoewnerMatrices, n: int, shift: float, x: np.ndarray | None, y: np.ndarray | None
+) -> tuple[float | None, np.ndarray | None, np.ndarray | None]:
+    """(lambda, x, y): the eigenvalue of the leading n x n block of B nearest
+    shift, with unit right and left eigenvectors, by two-sided Rayleigh
+    quotient iteration (Ipsen, SIAM Review 1997).
+
+    x and y are block n-1's vectors, padded here with a 0, or None to start
+    from ones. Each step factors B - lambda once with LAPACK's tridiagonal
+    LU, solves with it on both sides, and moves lambda to y'Bx / y'x. The
+    iteration has settled when lambda moves by at most 8u |y|'|B||x| / |y'x|,
+    the scale on which the quotient rounds; that is 8u |lambda| where its
+    sum does not cancel. All three are None when lambda does not settle
+    within _RQI_STEPS steps or the iteration leaves double range.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs  # kept off the import path
+
+    sub, diag, sup = m.b_sub[: n - 1], m.b_diag[:n], m.b_super[: n - 1]
+    x = np.ones(n) if x is None else np.append(x, 0.0)
+    y = np.ones(n) if y is None else np.append(y, 0.0)
+    lam = shift
+    for _ in range(_RQI_STEPS):
+        *lu, info = dgttrf(sub, diag - lam, sup)
+        if info != 0:
+            break
+        x, y = _unit(dgttrs(*lu, x)[0]), _unit(dgttrs(*lu, y, trans="T")[0])
+        if x is None or y is None:
+            break
+        yx = float(y @ x)
+        if yx == 0.0:
+            break
+        # the terms of Bx, row by row: diagonal, sub- and superdiagonal
+        terms = np.zeros((3, n))
+        terms[0] = diag * x
+        terms[1, 1:] = sub * x[:-1]
+        terms[2, :-1] = sup * x[1:]
+        new = float(y @ terms.sum(axis=0)) / yx
+        # y'Bx rounds on the scale of |y|'|B||x|, which bounds |new y'x|
+        scale = float(np.abs(y) @ np.abs(terms).sum(axis=0)) / abs(yx)
+        if not math.isfinite(scale):
+            break
+        if abs(new - lam) <= _SETTLED_U * scale:
+            return new, x, y
+        lam = new
+    return None, None, None
+
+
 def _max_real_sequence(
     eta: EtaSequence, variant: Variant, m_max: int
 ) -> list[tuple[int, float]]:
@@ -198,10 +264,40 @@ def _max_real_sequence(
     Each band entry depends only on its own index, so the leading blocks of
     the m_max system are the M-dimensional systems bitwise. M = m_max is
     solved first: a size beyond the dense limit fails before any other solve.
+
+    The value at M is eigen_spectrum's max_real for that system, bitwise, at
+    every M <= _SHIFT_FROM, at every M whose block takes the symmetric path,
+    at the powers of two above _SHIFT_FROM and at m_max. Each other M above
+    _SHIFT_FROM whose block takes the dense path gets `_shifted_top` from
+    the value at M-1 and M-1's eigenvectors, or a dense solve if that does
+    not settle. On the grid of powers of two and m_max both are solved, and
+    when they differ by more than _CHECK_REL the whole sequence is solved
+    dense. Between grid points a value is the eigenvalue nearest the shift,
+    which is not proven to be the top one.
     """
     m = build_matrices(eta, m_max, variant)
     last = _top_eigenvalue(m, m_max)
-    return [(k, _top_eigenvalue(m, k)) for k in range(2, m_max)] + [(m_max, last)]
+
+    def dense(k: int) -> float:
+        return last if k == m_max else _top_eigenvalue(m, k)
+
+    with np.errstate(over="ignore"):
+        positive = np.append(m.b_sub * m.b_super > 0, False)
+    # blocks from this size on have a product a_n <= 0: the dense path
+    first_dense = int(np.argmin(positive)) + 2
+    seq: list[tuple[int, float]] = []
+    x = y = None
+    for k in range(2, m_max + 1):
+        top = None
+        if k > _SHIFT_FROM and k >= first_dense:
+            top, x, y = _shifted_top(m, k, seq[-1][1], x, y)
+        if top is None or k == m_max or k & (k - 1) == 0:
+            value = dense(k)
+            if top is not None and abs(top - value) > _CHECK_REL * max(1.0, abs(value)):
+                return [(j, dense(j)) for j in range(2, m_max + 1)]
+            top = value
+        seq.append((k, top))
+    return seq
 
 
 def eigen_spectrum(m: LoewnerMatrices) -> SpectrumResult:

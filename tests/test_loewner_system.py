@@ -180,12 +180,18 @@ class TestRecurrence:
             assert charpoly_eval(rec, 1.0) == (-5.0, -3.0, 0.0)
             assert max_real_root_detailed(rec).value == pytest.approx((5 + 29**0.5) / 2)
 
-    @pytest.mark.parametrize("bad", [True, "x", None, 1j])
+    @pytest.mark.parametrize(
+        "bad", [True, "x", None, 1j, "1", "1e3", b"2", np.True_, np.False_]
+    )
     def test_bools_and_non_numbers_refused(self, bad):
+        # numeric strings and numpy bools are refused too, although float()
+        # reads them
         with pytest.raises(ValidationError, match="a_n must be a number"):
             CharPolyRecurrence(Variant.UNBOUNDED, a=(bad,), b=(0.0, 5.0))
         with pytest.raises(ValidationError, match="b_n must be a number"):
             CharPolyRecurrence(Variant.UNBOUNDED, a=(1.0,), b=(0.0, bad))
+        with pytest.raises(ValidationError, match=r"eta\[2\] must be a number"):
+            validate_eta([1.0, bad])
 
     def test_offdiagonal_product_identity(self, rng):
         # a_n equals the product of B's matching sub and super entries

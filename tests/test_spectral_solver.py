@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +27,7 @@ from llespec import (
     truncated_sle_spectrum,
     validate_eta,
 )
-from llespec import cli
+from llespec import cli, spectral_solver
 from llespec.cli import main
 from llespec.loewner_system import CharPolyRecurrence, LoewnerMatrices, charpoly_eval
 from llespec.loewner_system import DENSE_LIMIT as DENSE_EIGEN_LIMIT
@@ -39,6 +40,7 @@ from llespec.spectral_solver import (
     _max_real_sequence,
     _newton_from_above,
     _resonant,
+    _top_eigenvalue,
 )
 from tests.conftest import (
     loop_oracle_etas,
@@ -758,3 +760,118 @@ class TestMaxOnlyPath:
             _eigenvalues(diag, -np.ones(n - 1), np.ones(n - 1))
         # the symmetric path needs no dense matrix and has no cap
         assert len(_eigenvalues(diag, np.ones(n - 1), np.ones(n - 1))) == n
+
+
+def _newton_top(m, n, x0):
+    """40-digit Newton's method on the characteristic polynomial of B's
+    leading n x n block from x0, with the products sub*sup taken exactly."""
+    with mpmath.workdps(40):
+        diag = [mpmath.mpf(v) for v in m.b_diag[:n]]
+        prod = [mpmath.mpf(s) * mpmath.mpf(t) for s, t in zip(m.b_sub, m.b_super)]
+        x = mpmath.mpf(x0)
+        for _ in range(20):
+            p_prev, p, dp_prev, dp = mpmath.mpf(1), x - diag[0], mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(1, n):
+                p_prev, p, dp_prev, dp = (
+                    p, (x - diag[k]) * p - prod[k - 1] * p_prev,
+                    dp, p + (x - diag[k]) * dp - prod[k - 1] * dp_prev,
+                )
+            x -= p / dp
+        return float(x)
+
+
+def _record_solves(monkeypatch) -> dict:
+    """The sizes handed to the symmetric and to the dense eigensolver from
+    here on, in order."""
+    sizes = {"symmetric": [], "dense": []}
+
+    def record(path, owner, name):
+        solve = getattr(owner, name)
+
+        def wrapper(a, *rest):
+            sizes[path].append(len(a))
+            return solve(a, *rest)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record("symmetric", scipy.linalg, "eigvalsh_tridiagonal")
+    record("dense", np.linalg, "eigvals")
+    return sizes
+
+
+class TestShiftedSequence:
+    """Route 1's sequence mode above M = 128 on the dense path: shifted
+    Rayleigh quotient iteration, with dense solves on the check grid."""
+
+    SYSTEMS = {
+        # a_3 < 0: every M >= 4 takes the dense path
+        "unbounded-kappa1": (LevyDriver(kappa=1.0), Variant.UNBOUNDED, 300, 4),
+        # every product a_n is positive up to M = 133
+        "bounded-rate130.5": (LevyDriver(uniform_rate=130.5), Variant.BOUNDED, 260, 134),
+    }
+
+    def test_unbounded_kappa1_converges(self):
+        eta = eta_sequence(LevyDriver(kappa=1.0), 300)
+        seq = _max_real_sequence(eta, Variant.UNBOUNDED, 300)
+        want = (11.0 - math.sqrt(5.0)) / 2.0
+        assert [k for k, _ in seq] == list(range(2, 301))
+        assert max(abs(v - want) for k, v in seq if k >= 200) <= 1e-13 * want
+
+    def test_bounded_rate_matches_40_digit_newton(self):
+        eta = eta_sequence(LevyDriver(uniform_rate=130.5), 260)
+        m = build_matrices(eta, 260, Variant.BOUNDED)
+        seq = dict(_max_real_sequence(eta, Variant.BOUNDED, 260))
+        for n in (134, 150, 200, 255):
+            want = _newton_top(m, n, seq[n])
+            assert abs(seq[n] - want) <= 2e-15 * want
+            # and it is the top eigenvalue, by the dense solve
+            assert seq[n] == pytest.approx(_top_eigenvalue(m, n), rel=1e-12)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_dense_solves_only_on_the_grid(self, system, monkeypatch):
+        driver, variant, m_max, first_dense = self.SYSTEMS[system]
+        eta = eta_sequence(driver, m_max)
+        m = build_matrices(eta, m_max, variant)
+        on_grid = {n: _top_eigenvalue(m, n) for n in (256, m_max)}
+        sizes = _record_solves(monkeypatch)
+        seq = _max_real_sequence(eta, variant, m_max)
+        assert [k for k, _ in seq] == list(range(2, m_max + 1))
+        assert sizes["symmetric"] == list(range(2, first_dense))
+        assert sizes["dense"] == [m_max, *range(first_dense, 129), 256]
+        # the sequence reports the dense value wherever one was computed
+        assert {n: dict(seq)[n] for n in on_grid} == on_grid
+
+    def test_unsettled_size_is_solved_dense(self, monkeypatch):
+        eta = eta_sequence(LevyDriver(kappa=1.0), 200)
+        m = build_matrices(eta, 200, Variant.UNBOUNDED)
+        shifted = spectral_solver._shifted_top
+
+        def unsettled_at_150(m, n, *rest):
+            return (None, None, None) if n == 150 else shifted(m, n, *rest)
+
+        monkeypatch.setattr(spectral_solver, "_shifted_top", unsettled_at_150)
+        sizes = _record_solves(monkeypatch)
+        seq = dict(_max_real_sequence(eta, Variant.UNBOUNDED, 200))
+        assert sizes["dense"] == [200, *range(4, 129), 150]
+        assert seq[150] == _top_eigenvalue(m, 150)
+
+    def test_failed_check_gives_the_all_dense_sequence(self, monkeypatch):
+        m_max = 260
+        eta = eta_sequence(LevyDriver(kappa=1.0), m_max)
+        m = build_matrices(eta, m_max, Variant.UNBOUNDED)
+        all_dense = [(k, _top_eigenvalue(m, k)) for k in range(2, m_max + 1)]
+        # off the grid the shifted values differ from the dense ones in the
+        # last bits, so the comparison below can tell the two apart
+        assert _max_real_sequence(eta, Variant.UNBOUNDED, m_max) != all_dense
+        shifted = spectral_solver._shifted_top
+        calls = []
+
+        def off_at_256(m, n, *rest):
+            top, x, y = shifted(m, n, *rest)
+            calls.append(n)
+            return (top * (1.0 + 1e-10) if n == 256 else top), x, y
+
+        monkeypatch.setattr(spectral_solver, "_shifted_top", off_at_256)
+        assert _max_real_sequence(eta, Variant.UNBOUNDED, m_max) == all_dense
+        # the sequence stopped at the failed check
+        assert calls == list(range(129, 257))
