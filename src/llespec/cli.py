@@ -248,7 +248,7 @@ def _cmd_fuchs(args) -> None:
 
 
 def _cmd_theorem1(args) -> None:
-    xi_grid = _parse_grid(args.xi_grid, "xi")
+    xi_grid = _parse_grid(args.xi_grid, "--xi-grid")
     beta_closed = beta2_unbounded_n2(args.eta1)
     spec = eigen_spectrum(
         build_matrices(validate_eta((args.eta1,)), 2, Variant.UNBOUNDED)
@@ -269,18 +269,18 @@ def _cmd_theorem1(args) -> None:
     _emit(args, payload, rows)
 
 
-def _parse_grid(text: str, name: str) -> list[float]:
+def _parse_grid(text: str, flag: str) -> list[float]:
     try:
         vals = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"--{name}-grid expects comma-separated numbers") from exc
+        raise ValidationError(f"{flag} expects comma-separated numbers") from exc
     if not vals:
-        raise ValidationError(f"--{name}-grid is empty")
+        raise ValidationError(f"{flag} is empty")
     return vals
 
 
 def _cmd_ple_curve(args) -> None:
-    lambdas = _parse_grid(args.lambdas, "lambdas")
+    lambdas = _parse_grid(args.lambdas, "--lambdas")
     if any(lam <= 0 or not math.isfinite(lam) for lam in lambdas):
         raise ValidationError("lambda grid entries must be positive and finite")
 

@@ -369,9 +369,9 @@ def _integrate_log_distance(
     One DOP853 solve integrates p runs of q consecutive pieces each, all
     in one local time tau in [0, 1], and keeps each run's state at the
     ends of its pieces, tau = j / q. The state is p N x c matrices, which
-    each right-hand side multiplies by ln2 B and ln2 A in two batched
-    products, and phi is chained through the runs' outputs. The solve's
-    shape is the only choice:
+    each right-hand side multiplies by ln2 B and ln2 A, stacked, in one
+    batched product, and phi is chained through the runs' outputs. The
+    solve's shape is the only choice:
 
     - batched, where _batching_pays: p = k runs of one piece, each the
       N x N propagator of its piece from the identity, through which k
@@ -392,22 +392,21 @@ def _integrate_log_distance(
     else:
         p, q, y0, start = 1, k, theta0.reshape(1, n, 1), np.ones(1)
     sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
-    h_b = math.log(2.0) * sys.matrices.b_dense()
-    # scaled in place to q (ln2 B - r I) and q ln2 A, the operators in tau
-    # over a run's q units of t, so no more than two N x N matrices are
-    # held at once
-    h_b.flat[:: n + 1] -= r
-    h_b *= q
-    h_a = sys.matrices.a_dense()
-    h_a *= q * math.log(2.0)
+    # q (ln2 B - r I) over q ln2 A, the operators in tau over a run's q
+    # units of t, built in place half by half: at most 3 N x N at once
+    h = np.empty((2 * n, n))
+    h[:n] = sys.matrices.b_dense()
+    h[n:] = sys.matrices.a_dense()
+    h[:n] *= math.log(2.0)
+    h.flat[: n * n : n + 1] -= r
+    h[:n] *= q
+    h[n:] *= q * math.log(2.0)
     d_starts = sign * 2.0 ** -(t0 + q * np.arange(p))  # d at each run's start
 
-    # h_a and h_b multiply Y separately: their difference would be an
-    # N x N matrix formed on every right-hand side of the vector shape
     def rhs(tau, y):
-        y = y.reshape(p, n, -1)
+        hy = h @ y.reshape(p, n, -1)
         d = d_starts * 2.0 ** (-q * tau)
-        return (h_b @ y - (d / (1.0 + d))[:, None, None] * (h_a @ y)).ravel()
+        return (hy[:, :n] - (d / (1.0 + d))[:, None, None] * hy[:, n:]).ravel()
 
     sol = scipy.integrate.solve_ivp(
         rhs,

@@ -44,7 +44,8 @@ __all__ = [
 # lazy rescaling thresholds for the charpoly recurrence pair
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
-# the Taylor pass's rounding bound per unit of its terms' magnitudes, 8u
+# the first-order rounding bound of a three-term sum per unit of its terms'
+# magnitudes, 8u: the Taylor pass's bound, and route 1's settling step
 _BOUND_U = 8 * 2.0**-53
 
 COEFFICIENT_LIMIT = 512

@@ -19,8 +19,8 @@ anti-diagonal: graded downward, it solves in about half the time, with
 beta(2) to ~1e-15 where B as it stands loses up to 1e-11 (N = 200-1000).
 
 The other eigensolver is `_shifted_top`, one eigenvalue by Rayleigh
-quotient iteration on the tridiagonal LU. Only sequence mode calls it, on
-the dense path above M = 128, between the dense solves that check it
+quotient iteration on the tridiagonal LU. Only sequence mode calls it, above
+M = 128 on blocks of either path, between the full solves that check it
 (`_max_real_sequence`).
 """
 
@@ -37,6 +37,7 @@ from .loewner_system import (
     CharPolyRecurrence,
     LoewnerMatrices,
     Variant,
+    _BOUND_U,
     _charpoly_taylor,
     _dense,
     build_matrices,
@@ -62,12 +63,11 @@ _NEWTON_MAX_STEPS = 1000
 _CERT_REL = 1e-9
 _AGREE_REL = 1e-8
 
-# route 1's sequence mode: dense solves up to M = _SHIFT_FROM, shifted
+# route 1's sequence mode: full solves up to M = _SHIFT_FROM, shifted
 # Rayleigh quotient iteration above it, settled within _RQI_STEPS steps at a
 # step of 8u on the quotient's scale, and checked on the grid to _CHECK_REL
 _SHIFT_FROM = 128
 _RQI_STEPS = 8
-_SETTLED_U = 8 * 2.0**-53
 _CHECK_REL = 1e-11
 
 
@@ -221,8 +221,9 @@ def _shifted_top(
     LU, solves with it on both sides, and moves lambda to y'Bx / y'x. The
     iteration has settled when lambda moves by at most 8u |y|'|B||x| / |y'x|,
     the scale on which the quotient rounds; that is 8u |lambda| where its
-    sum does not cancel. All three are None when lambda does not settle
-    within _RQI_STEPS steps or the iteration leaves double range.
+    sum does not cancel. B need not be symmetrizable. All three are None
+    when lambda does not settle within _RQI_STEPS steps or the iteration
+    leaves double range.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs  # kept off the import path
 
@@ -250,7 +251,7 @@ def _shifted_top(
         scale = float(np.abs(y) @ np.abs(terms).sum(axis=0)) / abs(yx)
         if not math.isfinite(scale):
             break
-        if abs(new - lam) <= _SETTLED_U * scale:
+        if abs(new - lam) <= _BOUND_U * scale:
             return new, x, y
         lam = new
     return None, None, None
@@ -266,35 +267,31 @@ def _max_real_sequence(
     solved first: a size beyond the dense limit fails before any other solve.
 
     The value at M is eigen_spectrum's max_real for that system, bitwise, at
-    every M <= _SHIFT_FROM, at every M whose block takes the symmetric path,
-    at the powers of two above _SHIFT_FROM and at m_max. Each other M above
-    _SHIFT_FROM whose block takes the dense path gets `_shifted_top` from
-    the value at M-1 and M-1's eigenvectors, or a dense solve if that does
-    not settle. On the grid of powers of two and m_max both are solved, and
-    when they differ by more than _CHECK_REL the whole sequence is solved
-    dense. Between grid points a value is the eigenvalue nearest the shift,
-    which is not proven to be the top one.
+    every M <= _SHIFT_FROM, at the powers of two above _SHIFT_FROM and at
+    m_max. Each other M above _SHIFT_FROM gets `_shifted_top` from the
+    value at M-1 and M-1's eigenvectors, whichever path `_eigenvalues`
+    would take for its block, or a full solve if that does not settle. On
+    the grid of powers of two and m_max both are solved, and when they
+    differ by more than _CHECK_REL every M gets a full solve. Between grid
+    points a value is the eigenvalue nearest the shift, which is not proven
+    to be the top one.
     """
     m = build_matrices(eta, m_max, variant)
     last = _top_eigenvalue(m, m_max)
 
-    def dense(k: int) -> float:
+    def full(k: int) -> float:
         return last if k == m_max else _top_eigenvalue(m, k)
 
-    with np.errstate(over="ignore"):
-        positive = np.append(m.b_sub * m.b_super > 0, False)
-    # blocks from this size on have a product a_n <= 0: the dense path
-    first_dense = int(np.argmin(positive)) + 2
     seq: list[tuple[int, float]] = []
     x = y = None
     for k in range(2, m_max + 1):
         top = None
-        if k > _SHIFT_FROM and k >= first_dense:
+        if k > _SHIFT_FROM:
             top, x, y = _shifted_top(m, k, seq[-1][1], x, y)
         if top is None or k == m_max or k & (k - 1) == 0:
-            value = dense(k)
+            value = full(k)
             if top is not None and abs(top - value) > _CHECK_REL * max(1.0, abs(value)):
-                return [(j, dense(j)) for j in range(2, m_max + 1)]
+                return [(j, full(j)) for j in range(2, m_max + 1)]
             top = value
         seq.append((k, top))
     return seq
@@ -450,7 +447,8 @@ class Beta2Report:
 
     mode 'truncated' uses the exact N-dimensional system at the truncation
     order; mode 'sequence' reports the maximal real eigenvalue beta_max(M)
-    for M = 2..m_max and its successive gaps.
+    for M = 2..m_max and its successive gaps. There beta2 is the full solve
+    at m_max, and convergence_gap can read its rounding (about 2e-14).
     """
 
     variant: Variant

@@ -252,6 +252,30 @@ class TestValidationExits:
             assert code == 2
             assert "--m-max must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lambdas", ["", "a,1"], ids=["empty", "word"])
+    def test_grid_error_names_its_flag(self, capsys, lambdas):
+        assert main(["ple-curve", "--lambdas", lambdas]) == 2
+        err = capsys.readouterr().err
+        assert "--lambdas " in err and "-grid" not in err
+        assert main(["theorem1", "--eta1", "1", "--xi-grid", ","]) == 2
+        assert "--xi-grid is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            *(
+                (("ple-curve", "--lambdas", lam), "positive and finite")
+                for lam in ("0", "-1", "nan", "inf")
+            ),
+            (("spectrum", "--kappa", "1", "--n", "0"), "--n must be >= 1"),
+            (("eta", "--kappa", "1", "--n-max", "0"), "n_max must be >= 1"),
+            (("spectrum", "--atom", "1:x", "--n", "2"), "--atom expects numbers"),
+        ],
+    )
+    def test_out_of_range_argument_is_exit_2(self, capsys, args, message):
+        assert main(list(args)) == 2
+        assert message in capsys.readouterr().err
+
     def test_exception_exit_codes(self):
         assert ValidationError("x").exit_code == 2
         assert DomainError("x").exit_code == 2

@@ -14,6 +14,7 @@ from llespec import (
     GeometricLadder,
     LevyDriver,
     NumericalError,
+    ThetaSeries,
     ValidationError,
     Variant,
     analytic_null_vector,
@@ -116,6 +117,19 @@ class TestSeriesSolution:
             series_solution(
                 _system(ETA_SLE2, 2, Variant.UNBOUNDED), SERIES_TERM_LIMIT + 1
             )
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ([1.0, 2.0], "shape"),
+            (np.zeros((0, 2)), "shape"),
+            ([[2.0, 0.0], [1.0, 1.0]], r"c_0\[0\] = 1"),
+        ],
+        ids=["one-dimensional", "no-rows", "not-normalized"],
+    )
+    def test_theta_series_validation(self, coefficients, message):
+        with pytest.raises(ValidationError, match=message):
+            ThetaSeries(Variant.UNBOUNDED, np.asarray(coefficients))
 
     def test_resonant_shift_detected(self):
         # a diagonal entry of A (unbounded) or B - A (bounded) equal to an

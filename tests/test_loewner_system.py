@@ -193,6 +193,22 @@ class TestRecurrence:
         with pytest.raises(ValidationError, match=r"eta\[2\] must be a number"):
             validate_eta([1.0, bad])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [((1.0,), (0.0,)), ((), (0.0, 5.0)), ((1.0, 2.0), (0.0, 5.0)), ((1.0,), ())],
+        ids=["a-long", "a-short", "a-two-long", "b-empty"],
+    )
+    def test_band_lengths_must_match(self, a, b):
+        with pytest.raises(SizeError, match="len|empty"):
+            CharPolyRecurrence(Variant.UNBOUNDED, a=a, b=b)
+
+    def test_degree_zero_is_the_empty_recurrence(self):
+        with pytest.raises(SizeError, match="degree must be >= 0, got -1"):
+            recurrence_coefficients(ETA_SLE2, -1, Variant.UNBOUNDED)
+        rec = recurrence_coefficients(ETA_SLE2, 0, Variant.UNBOUNDED)
+        assert rec.n == 0 and rec.a == () and rec.b == ()
+        assert charpoly_eval(rec, 2.5) == (1.0, 0.0, 0.0)
+
     def test_offdiagonal_product_identity(self, rng):
         # a_n equals the product of B's matching sub and super entries
         for variant in Variant:

@@ -163,6 +163,10 @@ class TestEigenSpectrum:
         assert eigs.real.tobytes() == np.array([b0]).tobytes()
         assert eigs.imag.tobytes() == np.zeros(1).tobytes()
 
+    def test_zero_dimension_refused(self):
+        with pytest.raises(SizeError, match="dimension >= 1"):
+            eigen_spectrum(_block_diagonal([], [], []))
+
     def test_bounded_n3_values(self):
         # kappa_3 = 2/9: eta_n = n^2/9 truncates at N = 3
         eta = eta_sequence(LevyDriver(kappa=2.0 / 9.0), 3)
@@ -800,8 +804,9 @@ def _record_solves(monkeypatch) -> dict:
 
 
 class TestShiftedSequence:
-    """Route 1's sequence mode above M = 128 on the dense path: shifted
-    Rayleigh quotient iteration, with dense solves on the check grid."""
+    """Route 1's sequence mode above M = 128, on blocks of either solver
+    path: shifted Rayleigh quotient iteration, with whole-spectrum solves on
+    the check grid of powers of two and m_max."""
 
     SYSTEMS = {
         # a_3 < 0: every M >= 4 takes the dense path
@@ -821,10 +826,11 @@ class TestShiftedSequence:
         eta = eta_sequence(LevyDriver(uniform_rate=130.5), 260)
         m = build_matrices(eta, 260, Variant.BOUNDED)
         seq = dict(_max_real_sequence(eta, Variant.BOUNDED, 260))
-        for n in (134, 150, 200, 255):
+        # 130 is a symmetric-path block, 134 the first dense-path one
+        for n in (130, 134, 150, 200, 255):
             want = _newton_top(m, n, seq[n])
             assert abs(seq[n] - want) <= 2e-15 * want
-            # and it is the top eigenvalue, by the dense solve
+            # and it is the top eigenvalue, by the full solve
             assert seq[n] == pytest.approx(_top_eigenvalue(m, n), rel=1e-12)
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
@@ -836,10 +842,26 @@ class TestShiftedSequence:
         sizes = _record_solves(monkeypatch)
         seq = _max_real_sequence(eta, variant, m_max)
         assert [k for k, _ in seq] == list(range(2, m_max + 1))
-        assert sizes["symmetric"] == list(range(2, first_dense))
+        # above 128 only the grid is solved whole, whichever the path
+        assert sizes["symmetric"] == list(range(2, min(first_dense, 129)))
         assert sizes["dense"] == [m_max, *range(first_dense, 129), 256]
         # the sequence reports the dense value wherever one was computed
         assert {n: dict(seq)[n] for n in on_grid} == on_grid
+
+    def test_symmetric_system_is_shifted_off_the_grid(self, monkeypatch):
+        # every product a_n is positive: each block takes the symmetric path
+        eta = eta_sequence(LevyDriver(kappa=0.3), 300)
+        m = build_matrices(eta, 300, Variant.BOUNDED)
+        assert np.all(m.b_sub * m.b_super > 0)
+        whole = {n: _top_eigenvalue(m, n) for n in range(129, 301)}
+        sizes = _record_solves(monkeypatch)
+        seq = dict(_max_real_sequence(eta, Variant.BOUNDED, 300))
+        assert sizes == {"symmetric": [300, *range(2, 129), 256], "dense": []}
+        assert seq[256] == whole[256] and seq[300] == whole[300]
+        assert all(abs(seq[n] - whole[n]) <= 1e-13 * whole[n] for n in whole)
+        for n in (129, 150, 200, 255, 299):
+            want = _newton_top(m, n, seq[n])
+            assert abs(seq[n] - want) <= 2e-15 * want
 
     def test_unsettled_size_is_solved_dense(self, monkeypatch):
         eta = eta_sequence(LevyDriver(kappa=1.0), 200)
