@@ -45,6 +45,25 @@ def _number(value, field: str) -> float:
     raise ValidationError(f"{field} must be a number, got {value!r}")
 
 
+def _nonnegative(value, field: str) -> float:
+    """value as a float, finite and >= 0; ValidationError names the field."""
+    value = _number(value, field)
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"{field} must be finite and >= 0, got {value}")
+    return value
+
+
+def _as_tuple(values, field: str, of="numbers", size=None) -> tuple:
+    """values as a tuple (of size entries); else ValidationError names field."""
+    try:
+        out = tuple(values)
+        if size is None or len(out) == size:
+            return out
+    except TypeError:
+        pass
+    raise ValidationError(f"{field} must be a sequence of {of}, got {values!r}")
+
+
 @dataclass(frozen=True)
 class LevyDriver:
     """Parameters of a drift-free symmetric Levy driver.
@@ -59,16 +78,11 @@ class LevyDriver:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        kappa = _number(self.kappa, "kappa")
-        if not math.isfinite(kappa) or kappa < 0:
-            raise ValidationError(f"kappa must be finite and >= 0, got {kappa}")
-        uniform_rate = _number(self.uniform_rate, "uniform_rate")
-        if not math.isfinite(uniform_rate) or uniform_rate < 0:
-            raise ValidationError(
-                f"uniform_rate must be finite and >= 0, got {uniform_rate}"
-            )
+        kappa = _nonnegative(self.kappa, "kappa")
+        uniform_rate = _nonnegative(self.uniform_rate, "uniform_rate")
         norm = []
-        for k, (angle, rate) in enumerate(self.atoms):
+        for k, atom in enumerate(_as_tuple(self.atoms, "atoms", "(angle, rate) pairs")):
+            angle, rate = _as_tuple(atom, f"atoms[{k}]", "2 numbers", size=2)
             angle = _number(angle, f"atoms[{k}].angle")
             rate = _number(rate, f"atoms[{k}].rate")
             if not math.isfinite(angle) or not (0.0 < angle <= math.pi):
@@ -90,14 +104,10 @@ class EtaSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(_number(v, f"eta[{i + 1}]") for i, v in enumerate(self.values))
+        vals = _as_tuple(self.values, "eta")
+        vals = tuple(_nonnegative(v, f"eta[{i + 1}]") for i, v in enumerate(vals))
         if not vals:
             raise ValidationError("eta sequence must have at least one entry")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(
-                    f"eta[{i + 1}] must be finite and >= 0, got {v}"
-                )
         object.__setattr__(self, "values", vals)
 
     @property
@@ -122,7 +132,7 @@ def eta_sequence(driver: LevyDriver, n_max: int) -> EtaSequence:
 
 def validate_eta(values) -> EtaSequence:
     """Wrap user-supplied exponents; accepts any nonnegative finite values."""
-    return EtaSequence(tuple(values))
+    return EtaSequence(values)
 
 
 def driver_from_dict(d: dict) -> LevyDriver:

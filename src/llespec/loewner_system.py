@@ -9,7 +9,9 @@ by a factor of 2, absorbed by folding the negative mode
 (theta_{-1} = xi^{+/-1} theta_1).
 
 The recurrence runs at a point in `charpoly_eval` and on coefficient vectors
-only in `_charpoly_taylor`, which `charpoly_coefficients` takes at 0.
+only in `_charpoly_taylor`, which `charpoly_coefficients` takes at 0. Both
+rescale by one rule, `_rescale_exponent`, by exact powers of two 2^-e, and
+return the int sum of the e: P_N = p 2^e.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     TruncationNearMissWarning,
     ValidationError,
 )
-from .levy_driver import EtaSequence, _number
+from .levy_driver import EtaSequence, _as_tuple, _number
 
 __all__ = [
     "Variant",
@@ -175,8 +177,8 @@ class CharPolyRecurrence:
     b: tuple[float, ...]
 
     def __post_init__(self):
-        a = tuple([_number(v, "a_n") for v in self.a])
-        b = tuple([_number(v, "b_n") for v in self.b])
+        a = tuple([_number(v, "a_n") for v in _as_tuple(self.a, "a")])
+        b = tuple([_number(v, "b_n") for v in _as_tuple(self.b, "b")])
         if not all(map(math.isfinite, a + b)):
             raise ValidationError("every a_n and b_n of a recurrence must be finite")
         if b and len(a) != len(b) - 1:
@@ -213,23 +215,26 @@ def recurrence_coefficients(
     return CharPolyRecurrence(variant=variant, a=tuple(a), b=tuple(m.b_diag.tolist()))
 
 
-def _needs_rescale(m: float) -> bool:
-    """True when the largest magnitude m of a recurrence's running values has
-    left [1e-150, 1e150] (an exact zero never needs it)."""
-    return m > _RESCALE_HI or 0.0 < m < _RESCALE_LO
+def _rescale_exponent(m: float) -> int:
+    """frexp's exponent e of m, the largest magnitude of a recurrence's
+    running values, once m has left [1e-150, 1e150], else 0 (an exact zero
+    too); e >= -1023 keeps 2^-e a double. Multiplying by 2^-e is exact."""
+    if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
+        return max(math.frexp(m)[1], -1023)
+    return 0
 
 
 def charpoly_eval(rec: CharPolyRecurrence, x) -> tuple:
-    """(p, dp, log_scale) from one forward pass at x (real or complex), with
-    P_N(x) = p e^log_scale and P_N'(x) = dp e^log_scale; p / dp is the Newton
-    step. log_scale stays 0.0 until the recurrence pair leaves
-    [1e-150, 1e150], so small-N values are exact.
+    """(p, dp, e) from one forward pass at x (real or complex), with
+    P_N(x) = p 2^e and P_N'(x) = dp 2^e for an int e; p / dp is the Newton
+    step. The rescalings are exact (`_rescale_exponent`), so ldexp(p, e) is
+    bitwise the unscaled pass wherever that pass stays in range.
 
     P_{k+1}' = (x - b_k) P_k' + P_k - a_k P_{k-1}', differentiated from the
     recurrence itself.
     """
     p_prev, p_cur, d_prev, d_cur = 0.0, 1.0, 0.0, 0.0
-    log_scale = 0.0
+    exponent = 0
     for a_k, b_k in zip((0.0,) + rec.a, rec.b):
         t = x - b_k
         p_prev, p_cur, d_prev, d_cur = (
@@ -240,29 +245,23 @@ def charpoly_eval(rec: CharPolyRecurrence, x) -> tuple:
         )
         # cheap test on the new pair first; the older pair decides the scale
         if not _RESCALE_LO <= abs(p_cur) + abs(d_cur) <= _RESCALE_HI:
-            m = max(abs(p_prev), abs(p_cur), abs(d_prev), abs(d_cur))
-            if _needs_rescale(m):
-                p_prev /= m
-                p_cur /= m
-                d_prev /= m
-                d_cur /= m
-                log_scale += math.log(m)
-    return p_cur, d_cur, log_scale
+            e = _rescale_exponent(max(abs(p_prev), abs(p_cur), abs(d_prev), abs(d_cur)))
+            s = math.ldexp(1.0, -e)
+            p_prev, p_cur, d_prev, d_cur = p_prev * s, p_cur * s, d_prev * s, d_cur * s
+            exponent += e
+    return p_cur, d_cur, exponent
 
 
 def _rescale_pair(prev: np.ndarray, cur: np.ndarray) -> int:
-    """Lazy rescaling of a vector recurrence pair, in place, by a power of
-    two 2^-e; returns e (0 when unscaled). As in charpoly_eval, the newer
-    vector is tested first and the pair decides the scale."""
+    """Lazy rescaling of a vector recurrence pair, in place, by the power of
+    two 2^-e of `_rescale_exponent`; returns e. As in charpoly_eval, the
+    newer vector is tested first and the pair decides the scale."""
     m = float(np.abs(cur).max())
     if not _RESCALE_LO <= m <= _RESCALE_HI:
-        m = max(m, float(np.abs(prev).max()))
-        if _needs_rescale(m):
-            e = math.frexp(m)[1]
-            s = math.ldexp(1.0, -e)
-            prev *= s
-            cur *= s
-            return e
+        e = _rescale_exponent(max(m, float(np.abs(prev).max())))
+        prev *= math.ldexp(1.0, -e)
+        cur *= math.ldexp(1.0, -e)
+        return e
     return 0
 
 

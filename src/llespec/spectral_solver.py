@@ -391,10 +391,10 @@ def _certified_top_root(rec: CharPolyRecurrence, x: float) -> bool:
         return False
     h = 2.0 * _CERT_REL * max(1.0, abs(x))
     c = x + 0.5 * h
-    p, _, log_scale = charpoly_eval(rec, c)
+    p, _, e = charpoly_eval(rec, c)
     if not p > 0.0:  # t_0 = P_N(c) must be positive
         return False
-    scale = math.ldexp(1.0, round((math.log(p) + log_scale) / (rec.n * math.log(2.0))))
+    scale = math.ldexp(1.0, round((math.log2(p) + e) / rec.n))
     t, err, _ = _charpoly_taylor(rec, c, scale)
     if not np.all(t > err):
         return False

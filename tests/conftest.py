@@ -76,8 +76,8 @@ def exact_charpoly(rec) -> list:
 def charpoly_log_abs(rec, x) -> float:
     """log |P_N(x)| from charpoly_eval's mantissa and scale; -inf at an
     exact zero."""
-    p, _, log_scale = charpoly_eval(rec, x)
-    return -math.inf if p == 0 else math.log(abs(p)) + log_scale
+    p, _, e = charpoly_eval(rec, x)
+    return -math.inf if p == 0 else math.log(abs(p)) + e * math.log(2.0)
 
 
 @pytest.fixture

@@ -91,6 +91,49 @@ class TestValidation:
         with pytest.raises(ValidationError):
             validate_eta(())
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (((1.0,),), r"atoms\[0\] must be a sequence of 2 numbers, got \(1\.0,\)"),
+            (((1.0, 2.0, 3.0),), r"atoms\[0\] must be a sequence of 2 numbers"),
+            (((1.0, 1.0), 2.0), r"atoms\[1\] must be a sequence of 2 numbers, got 2\.0"),
+            ((1.0, 2.0), r"atoms\[0\] must be a sequence of 2 numbers, got 1\.0"),
+            (5, r"atoms must be a sequence of \(angle, rate\) pairs, got 5"),
+            (None, r"atoms must be a sequence of \(angle, rate\) pairs, got None"),
+        ],
+        ids=["one-entry", "three-entries", "bare-number-atom", "flat-pair", "int", "none"],
+    )
+    def test_malformed_atoms_name_the_field(self, atoms, message):
+        with pytest.raises(ValidationError, match=f"^{message}") as exc:
+            LevyDriver(atoms=atoms)
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "values", [5, None, np.array(5.0), 2.5], ids=["int", "none", "0-d-array", "float"]
+    )
+    def test_validate_eta_refuses_a_non_sequence(self, values):
+        with pytest.raises(ValidationError, match="^eta must be a sequence of numbers"):
+            validate_eta(values)
+        with pytest.raises(ValidationError, match="^eta must be a sequence of numbers"):
+            EtaSequence(values)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LevyDriver(kappa=-1), "kappa must be finite and >= 0, got -1.0"),
+            (lambda: LevyDriver(kappa=math.inf), "kappa must be finite and >= 0, got inf"),
+            (
+                lambda: LevyDriver(uniform_rate=math.nan),
+                "uniform_rate must be finite and >= 0, got nan",
+            ),
+            (lambda: validate_eta([1.0, -2]), r"eta\[2\] must be finite and >= 0, got -2\.0"),
+        ],
+        ids=["kappa-negative", "kappa-inf", "uniform-rate-nan", "eta-negative"],
+    )
+    def test_nonnegative_rule_messages(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
     def test_validate_eta_accepts_formal(self):
         eta = validate_eta((0.5, 9.0))
         assert isinstance(eta, EtaSequence)

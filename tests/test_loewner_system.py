@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 from math import comb
@@ -194,6 +195,20 @@ class TestRecurrence:
             validate_eta([1.0, bad])
 
     @pytest.mark.parametrize(
+        "a, b, field",
+        [
+            (5, (1.0,), "a"),
+            (None, (1.0,), "a"),
+            ((), 5, "b"),
+            ((), np.array(1.0), "b"),
+        ],
+        ids=["a-int", "a-none", "b-int", "b-0-d-array"],
+    )
+    def test_non_sequences_refused(self, a, b, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers"):
+            CharPolyRecurrence(Variant.UNBOUNDED, a=a, b=b)
+
+    @pytest.mark.parametrize(
         "a, b",
         [((1.0,), (0.0,)), ((), (0.0, 5.0)), ((1.0, 2.0), (0.0, 5.0)), ((1.0,), ())],
         ids=["a-long", "a-short", "a-two-long", "b-empty"],
@@ -271,6 +286,42 @@ class TestCharPolyEval:
         assert z == pytest.approx((1 + 1j - 4) * (1 + 1j - 1), rel=1e-15)
         assert dz == pytest.approx(2 * (1 + 1j) - 5, rel=1e-15)
         assert log_scale == 0.0
+
+
+def _unscaled_pass(rec, x) -> tuple:
+    """(P_N(x), P_N'(x)) by charpoly_eval's recurrence, with no rescaling."""
+    p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
+    for a_k, b_k in zip((0.0,) + rec.a, rec.b):
+        t = x - b_k
+        p_prev, p, d_prev, d = p, t * p - a_k * p_prev, d, t * d + p - a_k * d_prev
+    return p, d
+
+
+class TestExactRescaling:
+    def test_rescaled_pass_is_the_unscaled_pass_bitwise(self, rng):
+        # Brownian kappa 0.5-2, N 60-120: the running pair leaves
+        # [1e-150, 1e150] while P_N and P_N' stay in range, and powers of
+        # two change no bit
+        rescaled = 0
+        for variant in Variant:
+            for _ in range(15):
+                kappa = float(rng.uniform(0.5, 2.0))
+                n = int(rng.integers(60, 121))
+                eta = eta_sequence(LevyDriver(kappa=kappa), n)
+                rec = recurrence_coefficients(eta, n, variant)
+                for x in rng.uniform(-50.0, 50.0, size=4).tolist():
+                    want = _unscaled_pass(rec, x)
+                    p, dp, e = charpoly_eval(rec, x)
+                    assert type(e) is int
+                    if e and max(map(abs, want)) < 1e300:
+                        rescaled += 1
+                        assert (math.ldexp(p, e), math.ldexp(dp, e)) == want, (n, x)
+        assert rescaled >= 30
+
+    def test_subnormal_running_values_rescale_within_range(self):
+        # 2^-e for the frexp exponent of 2e-320 is no double; e stops at -1023
+        rec = CharPolyRecurrence(Variant.UNBOUNDED, a=(0.0, 0.0), b=(0.0, 0.0, 0.0))
+        assert charpoly_eval(rec, 1e-320) == (0.0, 0.0, -1023)
 
 
 def _exact_system(rng, n, variant):

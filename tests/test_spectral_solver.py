@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -137,6 +138,42 @@ def _route2_systems(rng, count):
             rate = float(rng.uniform(0.0, 5.0)) if i % 8 >= 4 else 0.0
             driver = LevyDriver(kappa=kappa, uniform_rate=rate)
         yield variant, n, eta_sequence(driver, n)
+
+
+def _replay_certificate(rec, x) -> bool:
+    """The two facts `_certified_top_root` certifies at x, decided exactly.
+    With h = 2 delta and c = x + delta, rounded as the certificate rounds
+    them: every Taylor coefficient of P_N(c + u) is > 0, and
+    P_N(c - h) < 0, evaluated in Fractions.
+
+    One power of two D makes D c, D b_k and D^2 a_k integers, so
+    Q_{k+1} = (D (c - b_k) + v) Q_k - D^2 a_k Q_{k-1} runs on ints, and
+    Q_N(v) = D^N P_N(c + v / D) has coefficients of the same signs."""
+    h = 2.0 * spectral_solver._CERT_REL * max(1.0, abs(x))
+    c = x + 0.5 * h
+    a = [Fraction(v) for v in (0.0,) + rec.a]
+    b = [Fraction(v) for v in rec.b]
+    # D = 2^k; a denominator 2^j needs k >= j for D c and D b_k, and
+    # k >= ceil(j / 2) for D^2 a_k
+    k = max(
+        [v.denominator.bit_length() - 1 for v in [Fraction(c), *b]]
+        + [v.denominator.bit_length() // 2 for v in a]
+    )
+    d = [(2**k * (Fraction(c) - v)).numerator for v in b]
+    da = [(4**k * v).numerator for v in a]
+    prev, cur = [], [1]
+    for d_k, a_k in zip(d, da):
+        cur, prev = [
+            d_k * q + s - a_k * r
+            for q, s, r in zip(cur + [0], [0] + cur, prev + [0, 0])
+        ], cur
+    if not all(q > 0 for q in cur):
+        return False
+    y = Fraction(c) - Fraction(h)
+    p_prev, p = Fraction(0), Fraction(1)
+    for a_k, b_k in zip(a, b):
+        p_prev, p = p, (y - b_k) * p - a_k * p_prev
+    return p < 0
 
 
 class TestEigenSpectrum:
@@ -592,6 +629,51 @@ class TestCertifiedRoute2:
         assert not r.used_fallback
         eig = eigen_spectrum(build_matrices(eta, n, variant)).max_real
         assert r.value == pytest.approx(eig, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "variant, kappa, n",
+        [
+            (Variant.UNBOUNDED, 2 * 402 / 400**2, 400),
+            (Variant.BOUNDED, 1.0, 300),
+            (Variant.BOUNDED, 1.0, 400),
+            (Variant.BOUNDED, 1.0, 34),
+            (Variant.UNBOUNDED, 1.0, 128),
+        ],
+        ids=[
+            "unbounded-truncating-400",
+            "bounded-kappa1-300",
+            "bounded-kappa1-400",
+            "bounded-kappa1-34",
+            "unbounded-kappa1-128",
+        ],
+    )
+    def test_certificate_replays_exactly(self, variant, kappa, n):
+        # the certified answer is the top root, decided in exact arithmetic
+        eta = eta_sequence(LevyDriver(kappa=kappa), n)
+        rec = recurrence_coefficients(eta, n, variant)
+        r = max_real_root_detailed(rec)
+        assert not r.used_fallback
+        assert _replay_certificate(rec, r.value)
+
+    def test_close_pair_certificate_replays_exactly(self):
+        rec = CharPolyRecurrence(
+            variant=Variant.UNBOUNDED, a=(1e-10, 1e-10), b=(10.0, 10.0, -10.0)
+        )
+        r = max_real_root_detailed(rec)
+        assert not r.used_fallback
+        assert _replay_certificate(rec, r.value)
+
+    def test_replay_rejects_the_second_highest_root(self):
+        eta = eta_sequence(LevyDriver(kappa=1.0), 34)
+        rec = recurrence_coefficients(eta, 34, Variant.BOUNDED)
+        top = max_real_root_detailed(rec).value
+        spec = eigen_spectrum(build_matrices(eta, 34, Variant.BOUNDED))
+        y = [z.real for z in spec.eigenvalues if z.imag == 0.0][1]
+        for _ in range(8):
+            p, dp, _ = charpoly_eval(rec, y)
+            y -= p / dp
+        assert abs(y - top) > 1e-6
+        assert not _replay_certificate(rec, y)
 
     @pytest.mark.parametrize(
         "kappa, n, tol",
