@@ -8,9 +8,12 @@ Route 3: direct fit of the blowup exponent of the angular second moment
          on a geometric ladder approaching the unit circle.
 
 The routes share no numerics beyond the exponent sequence eta_n, so
-agreement is a strong end-to-end check.
+agreement is a strong end-to-end check: the demo exits with status 1 when
+route 2's root is not certified (it fell back to the eigenvalue route) or
+when the three values spread by more than SPREAD_REL of their size.
 """
 
+import sys
 import time
 
 from llespec import (
@@ -31,16 +34,19 @@ CASES = [
     ("bounded, uniform jump rate 1 (closes at N=3)", LevyDriver(uniform_rate=1.0), 3, Variant.BOUNDED),
 ]
 
+# the three cases spread by 8e-13 to 7e-8 relative, the blowup fit farthest
+SPREAD_REL = 1e-5
 
-def main():
+
+def main() -> int:
+    failures = []
     for label, driver, n, variant in CASES:
         eta = eta_sequence(driver, n)
         m = build_matrices(eta, n, variant)
 
         by_eigen = eigen_spectrum(m).max_real
-        by_root = max_real_root_detailed(
-            recurrence_coefficients(eta, n, variant)
-        ).value
+        root = max_real_root_detailed(recurrence_coefficients(eta, n, variant))
+        by_root = root.value
 
         t0 = time.perf_counter()
         fit = blowup_exponent(FuchsianSystem(m))
@@ -48,15 +54,24 @@ def main():
 
         print(f"\n{label}")
         print(f"  eigenvalue route : {by_eigen:.15g}")
-        print(f"  char-poly route  : {by_root:.15g}")
+        print(f"  char-poly route  : {by_root:.15g}  (used_fallback={root.used_fallback})")
         print(f"  blowup fit       : {fit.beta_est:.15g}  ({dt:.3f} s)")
         lo, hi = sorted(fit.window)
         print(f"    fit window xi in [{lo:.8g}, {hi:.8g}]")
         print(f"    slope residual {fit.residual:.2e}, "
               f"oscillation: {fit.oscillation_detected}")
-        spread = max(by_eigen, by_root, fit.beta_est) - min(by_eigen, by_root, fit.beta_est)
-        print(f"  spread of the three routes: {spread:.2e}")
+        values = (by_eigen, by_root, fit.beta_est)
+        spread = max(values) - min(values)
+        rel = spread / max(map(abs, values))
+        print(f"  spread of the three routes: {spread:.2e} ({rel:.1e} relative)")
+        if root.used_fallback:
+            failures.append(f"{label}: the char-poly root is not certified")
+        if not rel <= SPREAD_REL:
+            failures.append(f"{label}: relative spread {rel:.1e} exceeds {SPREAD_REL:.0e}")
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

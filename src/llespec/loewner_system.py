@@ -290,38 +290,53 @@ def _charpoly_taylor(
     bounds the error coefficientwise for any signs by induction, but grows
     far looser with N. The bound takes 8u for 3u, to cover the second-order
     terms and its own rounding.
+
+    One loop of N steps advances four rows, each with its own coefficient
+    column: P_k, the bound, |P_k| (which the step turns into lambda_{k+1}),
+    and Q_{N-k} backward, which rescales on its own since only its signs are
+    read. The bound starts as the sum of lambda_j Q_j, and once a Q_j turns
+    negative the pass reruns without Q, with the absolute error recurrence.
     """
     n = rec.n
     d = c - np.asarray(rec.b, dtype=float)
     a = np.asarray((0.0,) + rec.a + (0.0,), dtype=float)  # a_0 = a_N = 0
-    # Q_{N+1} = 0, Q_N = 1, Q_j = (d_j + scale t) Q_{j+1} - a_{j+1} Q_{j+2}
-    q_prev, q = np.zeros(n + 1), np.zeros(n + 1)
-    q[0] = 1.0
-    absolute = False
-    for j in range(n - 1, 0, -1):
-        q_next = d[j] * q - a[j + 1] * q_prev
-        q_next[1:] += scale * q[:-1]
-        if q_next.min() < 0.0:
-            absolute = True
-            break
-        q_prev, q = q, q_next
-        _rescale_pair(q_prev, q)
-    # row 0 holds P_k, row 1 the running sum of lambda_j Q_j, or the error
-    # recurrence on absolute values
-    prev, cur = np.zeros((2, n + 1)), np.zeros((2, n + 1))
-    cur[0, 0] = 1.0
-    exponent = 0
-    for k in range(n):
-        lam = abs(d[k]) * np.abs(cur[0]) + abs(a[k]) * np.abs(prev[0])
-        lam[1:] += scale * np.abs(cur[0, :-1])
-        nxt = d[k] * cur - a[k] * prev
-        if absolute:
-            nxt[1] = abs(d[k]) * cur[1] + abs(a[k]) * prev[1]
-        nxt[:, 1:] += scale * cur[:, :-1]
-        nxt[1] += lam
-        prev, cur = cur, nxt
-        exponent += _rescale_pair(prev, cur)
-    return cur[0], cur[1] * _BOUND_U, exponent
+    # step k takes each row to (d + scale t) row - a older_row with the row's
+    # own d and a: d_k and a_k for P_k and the bound, |d_k| and -|a_k| for
+    # |P_k| (and the absolute bound), and for Q_j, j = N-1-k,
+    # Q_j = (d_j + scale t) Q_{j+1} - a_{j+1} Q_{j+2}
+    d_col = np.stack([d, d, np.abs(d), d[::-1]], axis=1)[:, :, None]
+    a_col = np.stack([a[:n], a[:n], -np.abs(a[:n]), a[n:0:-1]], axis=1)[:, :, None]
+    for absolute in (False, True):
+        if absolute:  # the rerun drops Q
+            d_col, a_col = d_col[:, :3], a_col[:, :3]
+            d_col[:, 1], a_col[:, 1] = d_col[:, 2], a_col[:, 2]
+        rows = np.zeros((4, d_col.shape[1], n + 1))
+        prev, cur, nxt, term = rows
+        flat_prev, flat_cur, flat_nxt, flat_term = rows.reshape(4, -1)
+        cur[:, 0] = 1.0
+        cur[1, 0] = 0.0
+        exponent = 0
+        for k in range(n):
+            if k == n - 1:
+                cur[3:] = prev[3:] = 0.0  # Q_0 is not needed
+            np.multiply(d_col[k], cur, out=nxt)
+            nxt -= np.multiply(a_col[k], prev, out=term)
+            # scale t times the rows as one vector: cur's t^N entries, zeros
+            # below degree N, cross into the next row's t^0, where a zero
+            # added can only turn -0 into +0 (the bound's t^0 then gains
+            # lambda >= +0, and Q's is read for its sign)
+            flat_nxt[1:] += np.multiply(scale, flat_cur[:-1], out=flat_term[1:])
+            nxt[1] += nxt[2]
+            np.abs(nxt[0], out=nxt[2])
+            if not absolute and nxt[3].min() < 0.0:
+                break
+            prev, cur, nxt = cur, nxt, prev
+            flat_prev, flat_cur, flat_nxt = flat_cur, flat_nxt, flat_prev
+            exponent += _rescale_pair(prev[:3], cur[:3])
+            if not absolute:
+                _rescale_pair(prev[3], cur[3])
+        else:
+            return cur[0], cur[1] * _BOUND_U, exponent
 
 
 def charpoly_coefficients(rec: CharPolyRecurrence) -> list[float]:

@@ -3,11 +3,13 @@ maximal real eigenvalue beta(2) by two of the three routes (eigensolver and
 certified top root of the characteristic polynomial).
 
 Route 2 (`max_real_root_detailed`): Newton's method on P_N from above the
-Gershgorin bound, then a certificate that the root is the top one (no sign
-change among the Taylor coefficients of P_N just above it, scaled by
-|P_N|^(1/N), each beyond its rounding bound, and a sign change of P_N just
-below it). Only when the certificate is inconclusive does the eigensolver
-take part, and the result then says so (used_fallback=True).
+Gershgorin bound of the balanced B's symmetric part, which by Bendixson's
+theorem lies above the real part of every root, then a certificate that
+the root is the top one (no sign change among the Taylor coefficients of
+P_N just above it, scaled by |P_N|^(1/N), each beyond its rounding bound,
+and a sign change of P_N just below it). Only when the certificate is
+inconclusive does the eigensolver take part, and the result then says so
+(used_fallback=True).
 
 Solver choice (`_eigenvalues`, the package's only whole-spectrum solver):
 when every off-diagonal product a_n is positive, B is diagonally similar to
@@ -324,10 +326,17 @@ class MaxRealRoot:
 
 
 def _gershgorin_upper(rec: CharPolyRecurrence) -> float:
-    # upper bound via the modulus-symmetrized tridiagonal matrix with the
-    # same characteristic polynomial (off-diagonals sqrt|a_n|); row k's
-    # radius is s_k + s_(k+1), with s_n = sqrt|a_n| and s_0 = s_N = 0
-    s = np.sqrt(np.abs(np.array([0.0, *rec.a, 0.0])))
+    """Upper bound on the real part of every root of P_N and of every
+    trailing determinant: the Gershgorin bound of H, the symmetric part of
+    the balanced matrix with charpoly P_N (off-diagonals sign(a_n) sqrt|a_n|
+    below, sqrt|a_n| above). H's off-diagonals are s_n = sqrt(max(a_n, 0)),
+    so row k's radius is s_k + s_(k+1), with s_0 = s_N = 0. By Bendixson's
+    theorem no eigenvalue of a real matrix has real part above the top
+    eigenvalue of its symmetric part. A trailing block's symmetric part is
+    H's trailing block, whose top eigenvalue is at most H's by Cauchy
+    interlacing. Where most a_n < 0 the bound lies next to the top root.
+    """
+    s = np.sqrt(np.maximum(np.array([0.0, *rec.a, 0.0]), 0.0))
     return float(np.max(np.array(rec.b) + (s[:-1] + s[1:])))
 
 
@@ -342,9 +351,11 @@ def _eig_fallback(rec: CharPolyRecurrence) -> float:
 
 
 def _newton_from_above(rec: CharPolyRecurrence, hi: float) -> float:
-    """Newton's method on P_N from just above hi, an upper bound on its real
-    roots, until |step| stops shrinking or falls to a few ulps. Each step is
-    one charpoly_eval pass, which gives P_N and P_N' together.
+    """Newton's method on P_N from just above hi, an upper bound on the real
+    parts of its roots (`_gershgorin_upper`), until |step| stops shrinking
+    or falls to a few ulps. Each step is one charpoly_eval pass, which gives
+    P_N and P_N' together. The closer hi lies to the top root, the fewer the
+    steps: 7-10 on the Brownian families at N = 128-400.
 
     Steps are doubled until P_N turns negative or the step stops shrinking:
     when every root is real, a double step from above the top root never
@@ -392,7 +403,7 @@ def _certified_top_root(rec: CharPolyRecurrence, x: float) -> bool:
     h = 2.0 * _CERT_REL * max(1.0, abs(x))
     c = x + 0.5 * h
     p, _, e = charpoly_eval(rec, c)
-    if not p > 0.0:  # t_0 = P_N(c) must be positive
+    if not 0.0 < p < math.inf:  # t_0 = P_N(c) must be positive and finite
         return False
     scale = math.ldexp(1.0, round((math.log2(p) + e) / rec.n))
     t, err, _ = _charpoly_taylor(rec, c, scale)

@@ -24,11 +24,14 @@ from llespec import (
     truncation_order,
     validate_eta,
 )
+from llespec import spectral_solver
 from llespec.fuchsian_series import _local_bands
 from llespec.loewner_system import (
+    _BOUND_U,
     CharPolyRecurrence,
     _charpoly_taylor,
     _dense,
+    _rescale_pair,
 )
 from llespec.spectral_solver import _gershgorin_upper, max_real_root_detailed
 from tests.conftest import (
@@ -431,6 +434,107 @@ def _signed_zero_recurrences(rng, n_max):
         yield CharPolyRecurrence(
             Variant.UNBOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
         )
+
+
+def _charpoly_taylor_two_loops(rec, c, scale):
+    """The two-loop Taylor pass that _charpoly_taylor's single loop
+    replaced, kept as the oracle: the Q_j backward to their first negative
+    coefficient, then P_k with its bound forward. Also returns whether the
+    bound ran on absolute values."""
+    n = rec.n
+    d = c - np.asarray(rec.b, dtype=float)
+    a = np.asarray((0.0,) + rec.a + (0.0,), dtype=float)
+    q_prev, q = np.zeros(n + 1), np.zeros(n + 1)
+    q[0] = 1.0
+    absolute = False
+    for j in range(n - 1, 0, -1):
+        q_next = d[j] * q - a[j + 1] * q_prev
+        q_next[1:] += scale * q[:-1]
+        if q_next.min() < 0.0:
+            absolute = True
+            break
+        q_prev, q = q, q_next
+        _rescale_pair(q_prev, q)
+    prev, cur = np.zeros((2, n + 1)), np.zeros((2, n + 1))
+    cur[0, 0] = 1.0
+    exponent = 0
+    for k in range(n):
+        lam = abs(d[k]) * np.abs(cur[0]) + abs(a[k]) * np.abs(prev[0])
+        lam[1:] += scale * np.abs(cur[0, :-1])
+        nxt = d[k] * cur - a[k] * prev
+        if absolute:
+            nxt[1] = abs(d[k]) * cur[1] + abs(a[k]) * prev[1]
+        nxt[:, 1:] += scale * cur[:, :-1]
+        nxt[1] += lam
+        prev, cur = cur, nxt
+        exponent += _rescale_pair(prev, cur)
+    return cur[0], cur[1] * _BOUND_U, exponent, absolute
+
+
+def _assert_two_loops_bitwise(rec, c, scale) -> tuple[int, bool]:
+    """_charpoly_taylor's (t, err, exponent) equal the two loops' bit for
+    bit, signed zeros included; returns the exponent and whether the bound
+    ran on absolute values."""
+    t, err, exponent = _charpoly_taylor(rec, c, scale)
+    want_t, want_err, want_exponent, absolute = _charpoly_taylor_two_loops(
+        rec, c, scale
+    )
+    assert type(exponent) is int and exponent == want_exponent, (rec.n, c, scale)
+    for got, want in ((t, want_t), (err, want_err)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (rec, c)
+    return exponent, absolute
+
+
+def _scaled_recurrence(rng, n, size):
+    a, b = size * rng.standard_normal((2, n))
+    return CharPolyRecurrence(
+        Variant.UNBOUNDED, tuple(a[1:].tolist()), tuple(b.tolist())
+    )
+
+
+class TestTaylorPassMatchesTheTwoLoops:
+    def test_random_recurrences_in_both_modes(self, rng):
+        # a and b up to 1e6, c above every trailing root or anywhere, and
+        # recurrences with exact and signed zeros
+        modes = []
+        recs = list(_signed_zero_recurrences(rng, 30))
+        for _ in range(400):
+            size = 10.0 ** rng.uniform(0.0, 6.0)
+            recs.append(_scaled_recurrence(rng, int(rng.integers(1, 31)), size))
+        for i, rec in enumerate(recs):
+            size = max(map(abs, rec.a + rec.b))
+            c = float(3.0 * size * rng.standard_normal())
+            if i % 2:
+                c = _gershgorin_upper(rec) + float(rng.uniform(0.0, size))
+            scale = float(2.0 ** rng.integers(-4, 24))
+            modes.append(_assert_two_loops_bitwise(rec, c, scale)[1])
+        assert 100 < sum(modes) < len(modes) - 100
+
+    def test_rescaled_passes_at_zero(self, rng):
+        recs = [_scaled_recurrence(rng, n, 1e6) for n in range(1, 41)]
+        recs += [
+            recurrence_coefficients(eta, n, variant)
+            for variant in Variant
+            for n, eta in truncating_etas(160)[::9]
+        ]
+        exponents = [_assert_two_loops_bitwise(rec, 0.0, 1.0)[0] for rec in recs]
+        assert sum(e != 0 for e in exponents) > 20
+
+    def test_route2_passes_on_brownian_systems(self, monkeypatch):
+        # every pass route 2 makes, truncating and kappa = 1 up to N = 160
+        checked = []
+
+        def pass_checked(rec, c, scale):
+            checked.append(_assert_two_loops_bitwise(rec, c, scale))
+            return _charpoly_taylor(rec, c, scale)
+
+        monkeypatch.setattr(spectral_solver, "_charpoly_taylor", pass_checked)
+        etas = truncating_etas(160)[::7]
+        etas += [(n, eta_sequence(LevyDriver(kappa=1.0), n)) for n in (34, 100, 160)]
+        for variant in Variant:
+            for n, eta in etas:
+                max_real_root_detailed(recurrence_coefficients(eta, n, variant))
+        assert len(checked) >= 2 * len(etas)
 
 
 class TestCharPolyCoefficients:

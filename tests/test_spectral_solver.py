@@ -57,10 +57,10 @@ ETA_SLE_N6 = eta_sequence(LevyDriver(kappa=2.0 * 8 / 36), 8)  # kappa_6 = 4/9
 
 def _gershgorin_loop(rec):
     """The per-index loop that _gershgorin_upper replaced, kept as the
-    oracle."""
+    oracle, on the symmetric part's off-diagonals sqrt(max(a_k, 0))."""
     r = [0.0] * rec.n
     for k, a_k in enumerate(rec.a, start=1):
-        s = math.sqrt(abs(a_k))
+        s = math.sqrt(max(a_k, 0.0))
         r[k - 1] += s
         r[k] += s
     return max(b + rr for b, rr in zip(rec.b, r))
@@ -448,6 +448,40 @@ class TestMaxRealRoot:
             got, want = _gershgorin_upper(rec), _gershgorin_loop(rec)
             assert same_values([got], [want]), n
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_gershgorin_bound_lies_above_every_trailing_block(self, rng, variant):
+        # Bendixson and Cauchy interlacing: the bound of B's symmetric part
+        # lies above the real part of every eigenvalue of B and of each of
+        # its trailing blocks, and at most at the bound with sqrt|a_n| radii
+        etas = loop_oracle_etas(rng, 60)
+        systems = [(n, eta) for eta in etas for n in range(1, 61, 3)]
+        for n, eta in systems + truncating_etas(60):
+            rec = recurrence_coefficients(eta, n, variant)
+            bound = _gershgorin_upper(rec)
+            b = build_matrices(eta, n, variant).b_dense()
+            slack = 1e-12 * max(1.0, float(np.abs(b).sum(axis=1).max()))
+            for j in range(n):
+                assert np.linalg.eigvals(b[j:, j:]).real.max() <= bound + slack, (n, j)
+            s = np.sqrt(np.abs(np.array([0.0, *rec.a, 0.0])))
+            assert bound <= float(np.max(np.array(rec.b) + (s[:-1] + s[1:]))), n
+
+    @pytest.mark.parametrize("n", [160, 400])
+    def test_newton_takes_few_steps_from_the_bound(self, n, monkeypatch):
+        # from the sqrt|a_n| bound, 31 and 81 above the top root, Newton
+        # took 53 and 130 passes; from the symmetric part's, 0.73 above, 9
+        calls = []
+
+        def counted(rec, x):
+            calls.append(x)
+            return charpoly_eval(rec, x)
+
+        monkeypatch.setattr(spectral_solver, "charpoly_eval", counted)
+        eta = eta_sequence(LevyDriver(kappa=2.0 * (n + 2) / n**2), n)
+        rec = recurrence_coefficients(eta, n, Variant.UNBOUNDED)
+        top = _newton_from_above(rec, _gershgorin_upper(rec))
+        assert top == pytest.approx(5.0 - 2.0 / n, rel=1e-13)
+        assert len(calls) <= 12
+
 
     def test_even_multiplicity_falls_back(self):
         # (beta - 1)^2 has no sign change; the eigenvalue route takes over
@@ -495,6 +529,21 @@ class TestNonFiniteInputs:
     def test_non_finite_band_is_numerical_error(self, diag, sub, sup):
         with pytest.raises(NumericalError, match="not finite"):
             _eigenvalues(np.array(diag), np.array(sub), np.array(sup))
+
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [
+            ((0.0,), (1.7e308, -1.7e308), 1.7e308),
+            ((0.0, 0.0), (1e308, -1e308, 0.0), 1e308),
+        ],
+    )
+    def test_overflowing_charpoly_falls_back(self, a, b, want):
+        # P_N just above the top root overflows to inf, which leaves the
+        # certificate inconclusive instead of raising OverflowError
+        rec = CharPolyRecurrence(Variant.UNBOUNDED, a=a, b=b)
+        r = max_real_root_detailed(rec)
+        assert r.used_fallback
+        assert r.value == pytest.approx(want, rel=1e-8)
 
     def test_overflowing_negative_product_takes_the_dense_path(self):
         # only the product's sign is read: -inf sends the finite bands to
