@@ -81,9 +81,12 @@ class SpectrumResult:
     ascending). clusters groups eigenvalues by single linkage: two belong to
     one cluster when a chain of eigenvalues joins them with every step at
     most 2*CLUSTER_TOL, so a cluster may span more than 2*CLUSTER_TOL.
-    Each is reported as (mean, multiplicity); multiplicities[i] is that of
-    eigenvalues[i]'s cluster. resonant means two cluster centers, real or
-    complex, differ by a nonzero integer within tolerance (log terms at xi=1).
+    Each is reported as (mean, multiplicity), the clusters sorted as the
+    eigenvalues are by their means, and each mean sums its members in the
+    order of eigenvalues. multiplicities[i] is that of eigenvalues[i]'s
+    cluster, which is labelled by its first member there (`_cluster`).
+    resonant means two cluster centers, real or complex, differ by a nonzero
+    integer within tolerance (log terms at xi=1).
     """
 
     eigenvalues: tuple[complex, ...]
@@ -107,35 +110,34 @@ def _near_pairs(keys: np.ndarray, w: float):
         yield order[near], order[near + s]
 
 
-def _cluster(eigs: list[complex], tol: float) -> tuple[list, list[int]]:
-    # (mean, multiplicity) per cluster and each eigenvalue's multiplicity by
-    # single-linkage union-find over the pairs within 2*tol, so a chain of
-    # such steps merges without a bound on the cluster's span. Those pairs
-    # are within 2*tol in real part, where _near_pairs looks.
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for near_i, near_j in _near_pairs(np.asarray(eigs, dtype=complex).real, 2 * tol):
-        for i, j in zip(near_i.tolist(), near_j.tolist()):
-            if abs(eigs[i] - eigs[j]) <= 2 * tol:
-                parent[find(j)] = find(i)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(eigs[i])
-    out = []
-    for members in groups.values():
-        mean = sum(members) / len(members)
-        if abs(mean.imag) <= tol:
-            mean = complex(mean.real, 0.0)
-        out.append((mean, len(members)))
-    out.sort(key=lambda c: (-c[0].real, c[0].imag))
-    return out, [len(groups[find(i)]) for i in range(n)]
+def _cluster(eigs, tol: float) -> tuple[list, list[int]]:
+    """(mean, multiplicity) per cluster, sorted as eigen_spectrum sorts the
+    eigenvalues, and each eigenvalue's multiplicity. Single linkage over the
+    pairs within 2*tol (np.hypot, bitwise a Python complex's abs), found
+    among those within 2*tol in real part: a chain of such steps merges
+    without a bound on the span. Each eigenvalue is labelled by its
+    cluster's first index, so a joining pair relabels the later cluster (at
+    most N - 1 times). A mean sums its members in index order and divides
+    the real and imaginary sums separately; an imaginary part within tol
+    reads 0."""
+    z = np.asarray(eigs, dtype=complex)
+    label = np.arange(z.size)
+    for i, j in _near_pairs(z.real, 2 * tol):
+        d = z[i] - z[j]
+        join = (np.hypot(d.real, d.imag) <= 2 * tol) & (label[i] != label[j])
+        for p, q in zip(i[join].tolist(), j[join].tolist()):
+            lo, hi = sorted((label[p], label[q]))
+            if lo != hi:
+                label[label == hi] = lo
+    # clusters numbered in first-member order: a first member is its own label
+    group = (label == np.arange(z.size)).cumsum()[label] - 1
+    size = np.bincount(group)
+    mean = np.empty(size.size, dtype=complex)
+    mean.real = np.bincount(group, z.real) / size
+    mean.imag = np.bincount(group, z.imag) / size
+    mean.imag[np.abs(mean.imag) <= tol] = 0.0
+    order = np.lexsort((mean.imag, -mean.real))
+    return list(zip(mean[order].tolist(), size[order].tolist())), size[group].tolist()
 
 
 def _resonant(centers: np.ndarray, tol: float) -> bool:
@@ -306,7 +308,7 @@ def eigen_spectrum(m: LoewnerMatrices) -> SpectrumResult:
     eigs = _eigenvalues(m.b_diag, m.b_sub, m.b_super)
     max_real = _max_real(eigs)
     eigs = eigs[np.lexsort((eigs.imag, -eigs.real))].astype(complex)
-    clusters, mults = _cluster(eigs.tolist(), CLUSTER_TOL)
+    clusters, mults = _cluster(eigs, CLUSTER_TOL)
     on_axis = np.abs(eigs.imag) <= CLUSTER_TOL
     return SpectrumResult(
         eigenvalues=tuple(eigs.tolist()),
@@ -428,7 +430,8 @@ def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
     means the value is certified. used_fallback=True means the certificate
     was inconclusive (an even-multiplicity top root, for one) and the value
     was checked against the eigenvalue route: Newton's root when the two
-    agree to 1e-8, the eigenvalue otherwise.
+    agree to 1e-8 and P_N is finite there, the eigenvalue otherwise (Newton
+    never leaves a start where P_N overflows).
     """
     if rec.n == 0:
         raise SizeError("P_0 = 1 has no roots")
@@ -437,6 +440,7 @@ def max_real_root_detailed(rec: CharPolyRecurrence) -> MaxRealRoot:
         return MaxRealRoot(value=x, used_fallback=False)
     eig = _eig_fallback(rec)
     agree = abs(x - eig) <= _AGREE_REL * max(1.0, abs(eig))
+    agree = agree and math.isfinite(charpoly_eval(rec, x)[0])
     return MaxRealRoot(value=x if agree else eig, used_fallback=True)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -213,6 +214,17 @@ class TestValidationExits:
         assert out == b""
         assert b"need 9 for dimension 10" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "fuchs"])
+    def test_short_file_without_n_is_exit_2(self, tmp_path, capsys, command):
+        # two entries that never close the system, short of the default
+        # --m-max: the size can come only from --n
+        f = tmp_path / "eta.json"
+        f.write_text('{"eta": [1.0, 2.0]}')
+        assert main([command, "--eta-file", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n" in captured.err
+
     def test_negative_kappa(self):
         code, _, err = run_cli("eta", "--kappa", "-1")
         assert code == 2
@@ -364,6 +376,30 @@ class TestSpectrumCommand:
         doc = json.loads(text)
         assert doc["n"] == 6
         assert doc["max_real"] == pytest.approx(14.0 / 3.0, abs=1e-9)
+
+
+class TestHumanOutput:
+    """The default format: each scalar of the --json payload as
+    `key = value`, then the --csv table with its columns padded."""
+
+    @pytest.mark.parametrize(
+        "args", [("spectrum", "--kappa", "2", "--n", "2"), ("beta2", "--kappa", "2")]
+    )
+    def test_matches_json_and_csv(self, capsys, args):
+        code, text = run_main(capsys, *args)
+        assert code == 0
+        doc = json.loads(run_main(capsys, *args, "--json")[1])
+        table = list(csv.reader(io.StringIO(run_main(capsys, *args, "--csv")[1])))
+        scalars = [(k, v) for k, v in doc.items() if not isinstance(v, (list, dict))]
+        lines = text.splitlines()
+        assert lines[: len(scalars)] == [
+            f"{k} = {v if isinstance(v, str) else json.dumps(v)}" for k, v in scalars
+        ]
+        header, *rows = lines[len(scalars):]
+        starts = [cell.start() for cell in re.finditer(r"\S+", header)]
+        spans = list(zip(starts, starts[1:] + [None]))
+        cells = [[line[a:b].strip() for a, b in spans] for line in [header, *rows]]
+        assert cells == table
 
 
 class TestBeta2Command:

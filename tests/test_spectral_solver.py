@@ -545,6 +545,18 @@ class TestNonFiniteInputs:
         assert r.used_fallback
         assert r.value == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [((0.0,), (1.7e308, -1.7e308)), ((0.0, 0.0), (1e308, -1e308, 0.0))],
+    )
+    def test_overflowing_charpoly_returns_the_eigenvalue(self, a, b):
+        # P_N is not finite at Newton's start, so Newton never leaves it; the
+        # start lies 1e-9 relative above the root, within the 1e-8 agreement
+        rec = CharPolyRecurrence(Variant.UNBOUNDED, a=a, b=b)
+        r = max_real_root_detailed(rec)
+        assert r.used_fallback
+        assert r.value == _eig_fallback(rec) == b[0]
+
     def test_overflowing_negative_product_takes_the_dense_path(self):
         # only the product's sign is read: -inf sends the finite bands to
         # the dense solver, with no overflow warning
@@ -1007,6 +1019,33 @@ class TestShiftedSequence:
         seq = dict(_max_real_sequence(eta, Variant.UNBOUNDED, 200))
         assert sizes["dense"] == [200, *range(4, 129), 150]
         assert seq[150] == _top_eigenvalue(m, 150)
+
+    @pytest.mark.parametrize(
+        "diag, off, shift, factorizations",
+        [
+            # the shift is an entry of a diagonal block: dgttrf meets an
+            # exact zero pivot (info != 0)
+            ([1.0, 2.0, 3.0], ([0.0, 0.0], [0.0, 0.0]), 2.0, 1),
+            # bands near the end of double range: the first solve is not
+            # finite, and _unit refuses it
+            ([1e308, -1e308, 1e308], ([1e308, 1e308], [1e308, -1e308]), 0.0, 1),
+            # a 3 x 3 Jordan block: the quotient never settles
+            ([1.0] * 3, ([0.0, 0.0], [1.0, 1.0]), 0.5, spectral_solver._RQI_STEPS),
+        ],
+        ids=["zero-pivot", "non-finite-solve", "jordan-block"],
+    )
+    def test_shifted_top_gives_up(self, diag, off, shift, factorizations, monkeypatch):
+        dgttrf = scipy.linalg.lapack.dgttrf
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dgttrf(*args)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", counted)
+        m = _block_diagonal(diag, *off)
+        assert spectral_solver._shifted_top(m, 3, shift, None, None) == (None,) * 3
+        assert len(calls) == factorizations
 
     def test_failed_check_gives_the_all_dense_sequence(self, monkeypatch):
         m_max = 260
