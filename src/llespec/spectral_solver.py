@@ -144,7 +144,11 @@ def _resonant(centers: np.ndarray, tol: float) -> bool:
     """True when two centers' difference d has |Im d| <= tol and Re d within
     tol of a nonzero integer. Such a pair has fractional real parts within w
     mod 1 (tol, plus a margin for the rounding of d and of the fractional
-    parts), so only pairs that close are tested, those near 0 also past 1."""
+    parts), so only pairs that close are tested, those near 0 also past 1.
+    A center beyond double range (a cluster whose members sum past it)
+    raises NumericalError."""
+    if not np.isfinite(centers).all():
+        raise NumericalError("a cluster mean of the spectrum leaves double range")
     w = tol + 2.0**-49 * (1.0 + np.abs(centers.real).max())
     frac = np.mod(centers.real, 1.0)
     wrap = np.flatnonzero(frac <= w)
@@ -207,27 +211,26 @@ def _top_eigenvalue(m: LoewnerMatrices, n: int) -> float:
     return _max_real(_eigenvalues(m.b_diag[:n], m.b_sub[: n - 1], m.b_super[: n - 1]))
 
 
-def _unit(v: np.ndarray) -> np.ndarray | None:
-    """v over its 2-norm; None when that norm is zero or not finite."""
-    norm = math.sqrt(float(v @ v))
-    return v / norm if 0.0 < norm < math.inf else None
-
-
 def _shifted_top(
     m: LoewnerMatrices, n: int, shift: float, x: np.ndarray | None, y: np.ndarray | None
 ) -> tuple[float | None, np.ndarray | None, np.ndarray | None]:
     """(lambda, x, y): the eigenvalue of the leading n x n block of B nearest
     shift, with unit right and left eigenvectors, by two-sided Rayleigh
-    quotient iteration (Ipsen, SIAM Review 1997).
+    quotient iteration (Ipsen, SIAM Review 1997). n >= 3: scipy's dgttrf
+    wrapper refuses n = 2, which sequence mode never reaches.
 
     x and y are block n-1's vectors, padded here with a 0, or None to start
     from ones. Each step factors B - lambda once with LAPACK's tridiagonal
     LU, solves with it on both sides, and moves lambda to y'Bx / y'x. The
     iteration has settled when lambda moves by at most 8u |y|'|B||x| / |y'x|,
     the scale on which the quotient rounds; that is 8u |lambda| where its
-    sum does not cancel. B need not be symmetrizable. All three are None
-    when lambda does not settle within _RQI_STEPS steps or the iteration
-    leaves double range.
+    sum does not cancel. B need not be symmetrizable.
+
+    All three are None when dgttrf reports a zero pivot, when lambda does not
+    settle within _RQI_STEPS steps, or when the quotient or its scale is not
+    finite: the one test for leaving double range, since a zero or
+    non-finite solve, a y'x of 0, an overflowing |B||x| and an overflowing
+    diag - lambda each make one of them so.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs  # kept off the import path
 
@@ -235,29 +238,29 @@ def _shifted_top(
     x = np.ones(n) if x is None else np.append(x, 0.0)
     y = np.ones(n) if y is None else np.append(y, 0.0)
     lam = shift
-    for _ in range(_RQI_STEPS):
-        *lu, info = dgttrf(sub, diag - lam, sup)
-        if info != 0:
-            break
-        x, y = _unit(dgttrs(*lu, x)[0]), _unit(dgttrs(*lu, y, trans="T")[0])
-        if x is None or y is None:
-            break
-        yx = float(y @ x)
-        if yx == 0.0:
-            break
-        # the terms of Bx, row by row: diagonal, sub- and superdiagonal
-        terms = np.zeros((3, n))
-        terms[0] = diag * x
-        terms[1, 1:] = sub * x[:-1]
-        terms[2, :-1] = sup * x[1:]
-        new = float(y @ terms.sum(axis=0)) / yx
-        # y'Bx rounds on the scale of |y|'|B||x|, which bounds |new y'x|
-        scale = float(np.abs(y) @ np.abs(terms).sum(axis=0)) / abs(yx)
-        if not math.isfinite(scale):
-            break
-        if abs(new - lam) <= _BOUND_U * scale:
-            return new, x, y
-        lam = new
+    with np.errstate(all="ignore"):
+        for _ in range(_RQI_STEPS):
+            *lu, info = dgttrf(sub, diag - lam, sup)
+            if info != 0:
+                break
+            x, y = dgttrs(*lu, x)[0], dgttrs(*lu, y, trans="T")[0]
+            x, y = x / math.sqrt(float(x @ x)), y / math.sqrt(float(y @ y))
+            # a y'x of 0 divides to inf or nan in numpy, which the test below
+            # catches (a Python float would raise ZeroDivisionError)
+            yx = y @ x
+            # the terms of Bx, row by row: diagonal, sub- and superdiagonal
+            terms = np.zeros((3, n))
+            terms[0] = diag * x
+            terms[1, 1:] = sub * x[:-1]
+            terms[2, :-1] = sup * x[1:]
+            new = float(y @ terms.sum(axis=0) / yx)
+            # y'Bx rounds on the scale of |y|'|B||x|, which bounds |new y'x|
+            scale = float(np.abs(y) @ np.abs(terms).sum(axis=0) / abs(yx))
+            if not (math.isfinite(new) and math.isfinite(scale)):
+                break
+            if abs(new - lam) <= _BOUND_U * scale:
+                return new, x, y
+            lam = new
     return None, None, None
 
 

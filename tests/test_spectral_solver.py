@@ -530,6 +530,12 @@ class TestNonFiniteInputs:
         with pytest.raises(NumericalError, match="not finite"):
             _eigenvalues(np.array(diag), np.array(sub), np.array(sup))
 
+    def test_overflowing_cluster_mean_is_numerical_error(self):
+        # two finite eigenvalues 1.7e308 form one cluster whose sum is inf
+        m = _block_diagonal([1.7e308, 1.7e308], [0.0], [0.0])
+        with pytest.raises(NumericalError, match="cluster mean"):
+            eigen_spectrum(m)
+
     @pytest.mark.parametrize(
         "a, b, want",
         [
@@ -1027,12 +1033,20 @@ class TestShiftedSequence:
             # exact zero pivot (info != 0)
             ([1.0, 2.0, 3.0], ([0.0, 0.0], [0.0, 0.0]), 2.0, 1),
             # bands near the end of double range: the first solve is not
-            # finite, and _unit refuses it
+            # finite, and so is the quotient
             ([1e308, -1e308, 1e308], ([1e308, 1e308], [1e308, -1e308]), 0.0, 1),
             # a 3 x 3 Jordan block: the quotient never settles
             ([1.0] * 3, ([0.0, 0.0], [1.0, 1.0]), 0.5, spectral_solver._RQI_STEPS),
+            # two equal diagonal entries coupled by 1e-300, the shift on them:
+            # the solve is finite, but its squares overflow
+            ([2.0, 2.0, 5.0], ([1e-300, 0.0], [1e-300, 0.0]), 2.0, 1),
+            # diag - shift overflows on the second entry
+            ([1.5e308, -1.5e308, 1.0], ([1.5e308, 0.0], [1.5e308, 0.0]), 1e308, 1),
         ],
-        ids=["zero-pivot", "non-finite-solve", "jordan-block"],
+        ids=[
+            "zero-pivot", "non-finite-solve", "jordan-block",
+            "overflowing-norm", "overflowing-shift",
+        ],
     )
     def test_shifted_top_gives_up(self, diag, off, shift, factorizations, monkeypatch):
         dgttrf = scipy.linalg.lapack.dgttrf
