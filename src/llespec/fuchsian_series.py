@@ -257,13 +257,16 @@ class GeometricLadder:
 class BlowupFit:
     """Fitted blowup exponent of the angular mean at xi = 1.
 
-    window is (xi_near, xi_far), the nearest and farthest ladder points.
-    residual is the maximum deviation of the local slopes from beta_est. The
-    first slopes' 2^-j drift, which the fit removes, dominates it, so it is
-    not an error estimate: it reads 0.011 on the N = 2, eta_1 = 1 system,
-    whose beta_est is 3e-12 from 4. oscillation_detected marks a sign
-    change of the mean along the ladder (complex dominant exponents), which
-    makes beta_est unreliable.
+    beta_est is the fixed-weight Richardson value over the last three
+    slopes, advanced by one Aitken step where those values contract
+    geometrically along the ladder (see blowup_exponent). window is
+    (xi_near, xi_far), the nearest and farthest ladder points. residual is
+    the maximum deviation of the local slopes from beta_est. The first
+    slopes' 2^-j drift, which the fit removes, dominates it, so it is not
+    an error estimate: it reads 0.011 on the N = 2, eta_1 = 1 system, whose
+    beta_est is 4e-15 from 4. oscillation_detected marks a sign change of
+    the mean along the ladder (complex dominant exponents), which makes
+    beta_est unreliable.
     """
 
     beta_est: float
@@ -300,9 +303,15 @@ def blowup_exponent(
     Near xi = 1 the mean is d^(-beta) times a function analytic in d, so
     s_j = beta + c_1 2^-j + c_2 4^-j + modes of the spectral gap. Two
     corrections of known ratio are removed exactly, with fixed weights
-    (Richardson's deferred approach to the limit): beta_est is
-    (8 s_J - 6 s_{J-1} + s_{J-2}) / 3 over the last three slopes, or s_J
-    on a ladder with fewer.
+    (Richardson's deferred approach to the limit):
+    R_j = (8 s_j - 6 s_{j-1} + s_{j-2}) / 3 over each three consecutive
+    slopes, or s_J on a ladder with fewer. What R_j keeps is mostly one
+    geometric mode, which Aitken's delta-squared process removes (Aitken
+    1926): where the last three differences of R contract at a consistent
+    ratio (_extrapolate gives the guard), beta_est is
+    R_J - (dR_J)^2 / (dR_J - dR_{J-1}); otherwise, and on a ladder with
+    fewer than six slopes, it is R_J. At the default ladder the step takes
+    bounded uniform rate 1, N = 3 from 7.0e-8 to 4.9e-10 relative.
     """
     ladder = ladder or GeometricLadder()
     _check_dense(sys.n)
@@ -333,7 +342,7 @@ def blowup_exponent(
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
     s = np.log2(np.abs(g[1:] / g[:-1]))
-    beta_est = float((8 * s[-1] - 6 * s[-2] + s[-3]) / 3 if len(s) >= 3 else s[-1])
+    beta_est = _extrapolate(s)
     residual = float(np.max(np.abs(s - beta_est)))
     return BlowupFit(
         beta_est=beta_est,
@@ -342,6 +351,30 @@ def blowup_exponent(
         oscillation_detected=oscillation,
         slopes=tuple(float(v) for v in s),
     )
+
+
+def _extrapolate(s: np.ndarray) -> float:
+    """beta from the ladder's slopes s: the fixed-weight values
+    R_i = (8 s_{i+2} - 6 s_{i+1} + s_i) / 3, then one Aitken delta-squared
+    step on their last three differences d', d0, d1 where they contract
+    geometrically: rho = d1 / d0 and rho' = d0 / d' finite, |rho| < 1 and
+    |rho - rho'| <= |rho'| / 2. Otherwise R_last, or s_last with fewer than
+    three slopes."""
+    if len(s) < 3:
+        return float(s[-1])
+    with np.errstate(all="ignore"):  # a zero divisor or overflow declines
+        r = (8 * s[2:] - 6 * s[1:-1] + s[:-2]) / 3
+        if len(r) >= 4:
+            d_prev, d0, d1 = np.diff(r[-4:])
+            rho, rho_prev = d1 / d0, d0 / d_prev
+            est = r[-1] - d1 * d1 / (d1 - d0)
+            if (
+                np.isfinite([rho, rho_prev, est]).all()
+                and abs(rho) < 1
+                and abs(rho - rho_prev) <= abs(rho_prev) / 2
+            ):
+                return float(est)
+    return float(r[-1])
 
 
 def _integrate_log_distance(

@@ -104,7 +104,8 @@ def _near_pairs(keys: np.ndarray, w: float):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     for s in range(1, keys.size):
-        near = np.flatnonzero(keys[s:] - keys[:-s] <= w)
+        with np.errstate(over="ignore"):  # an overflowing gap is not near
+            near = np.flatnonzero(keys[s:] - keys[:-s] <= w)
         if near.size == 0:
             return
         yield order[near], order[near + s]
@@ -154,9 +155,12 @@ def _resonant(centers: np.ndarray, tol: float) -> bool:
     wrap = np.flatnonzero(frac <= w)
     index = np.concatenate([np.arange(centers.size), wrap])
     for i, j in _near_pairs(np.concatenate([frac, frac[wrap] + 1.0]), w):
-        d = centers[index[j]] - centers[index[i]]
-        k = np.rint(d.real)
-        if np.any((np.abs(d.imag) <= tol) & (k != 0) & (np.abs(d.real - k) < tol)):
+        # an overflowing d, and the nan of inf - rint(inf), compare false
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = centers[index[j]] - centers[index[i]]
+            k = np.rint(d.real)
+            near = (np.abs(d.imag) <= tol) & (k != 0) & (np.abs(d.real - k) < tol)
+        if np.any(near):
             return True
     return False
 
@@ -216,8 +220,7 @@ def _shifted_top(
 ) -> tuple[float | None, np.ndarray | None, np.ndarray | None]:
     """(lambda, x, y): the eigenvalue of the leading n x n block of B nearest
     shift, with unit right and left eigenvectors, by two-sided Rayleigh
-    quotient iteration (Ipsen, SIAM Review 1997). n >= 3: scipy's dgttrf
-    wrapper refuses n = 2, which sequence mode never reaches.
+    quotient iteration (Ipsen, SIAM Review 1997).
 
     x and y are block n-1's vectors, padded here with a 0, or None to start
     from ones. Each step factors B - lambda once with LAPACK's tridiagonal
@@ -226,14 +229,17 @@ def _shifted_top(
     the scale on which the quotient rounds; that is 8u |lambda| where its
     sum does not cancel. B need not be symmetrizable.
 
-    All three are None when dgttrf reports a zero pivot, when lambda does not
-    settle within _RQI_STEPS steps, or when the quotient or its scale is not
-    finite: the one test for leaving double range, since a zero or
-    non-finite solve, a y'x of 0, an overflowing |B||x| and an overflowing
-    diag - lambda each make one of them so.
+    All three are None when n < 3 (scipy's dgttrf wrapper refuses a 2 x 2
+    band; sequence mode shifts only above M = 128), when dgttrf reports a
+    zero pivot, when lambda does not settle within _RQI_STEPS steps, or when
+    the quotient or its scale is not finite: the one test for leaving double
+    range, since a zero or non-finite solve, a y'x of 0, an overflowing
+    |B||x| and an overflowing diag - lambda each make one of them so.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs  # kept off the import path
 
+    if n < 3:
+        return None, None, None
     sub, diag, sup = m.b_sub[: n - 1], m.b_diag[:n], m.b_super[: n - 1]
     x = np.ones(n) if x is None else np.append(x, 0.0)
     y = np.ones(n) if y is None else np.append(y, 0.0)

@@ -145,6 +145,34 @@ class TestValidationExits:
         assert code == 2
         assert b"ANGLE:RATE" in err
 
+    @pytest.mark.parametrize(
+        "args, content, message",
+        [
+            (["--atom", "1"], None, "--atom expects ANGLE:RATE"),
+            (["--kappa", "1", "--eta-file", "{f}"], '{"eta": [1.0]}', "not both"),
+            ([], None, "missing eta source"),
+            (["--eta-file", "{f}", "--n-max", "3"], '{"eta": [1.0, 4.0]}', "1..2, got 3"),
+            (["--eta-file", "{f}"], '{"atoms": 3}', "'atoms' must be a list"),
+            (["--eta-file", "{f}"], '{"atoms": [[1, 2]]}', "atoms[0] must be an object"),
+            (["--eta-file", "{f}"], None, "cannot read eta file"),
+            (["--eta-file", "{f}"], "[1.0, 4.0]", "must hold a JSON object"),
+            (["--eta-file", "{f}"], '{"eta": 1.0}', "'eta' must be a list"),
+        ],
+        ids=[
+            "atom-without-colon", "both-sources", "no-source", "short-formal-file",
+            "atoms-not-list", "atom-not-object", "missing-file", "top-level-array",
+            "eta-not-list",
+        ],
+    )
+    def test_eta_input_is_exit_2(self, tmp_path, capsys, args, content, message):
+        f = tmp_path / "eta.json"
+        if content is not None:
+            f.write_text(content)
+        code = main(["eta", *(a.format(f=f) for a in args)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_out_needs_format(self, tmp_path):
         code, _, err = run_cli(
             "eta", "--kappa", "1", "--out", str(tmp_path / "x.txt")

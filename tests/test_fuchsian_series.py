@@ -521,16 +521,16 @@ class TestBlowup:
     @pytest.mark.parametrize(
         "eta, n, variant, tol",
         [
-            (validate_eta([0.75]), 2, Variant.UNBOUNDED, 1e-11),
-            (validate_eta([1.0]), 2, Variant.UNBOUNDED, 1e-11),
-            (validate_eta([1.25]), 2, Variant.UNBOUNDED, 1e-11),
+            (validate_eta([0.75]), 2, Variant.UNBOUNDED, 1e-13),
+            (validate_eta([1.0]), 2, Variant.UNBOUNDED, 1e-13),
+            (validate_eta([1.25]), 2, Variant.UNBOUNDED, 1e-13),
             (
                 eta_sequence(LevyDriver(kappa=4.0 / 9.0), 6),  # closes at N = 6
                 6,
                 Variant.UNBOUNDED,
-                1e-11,
+                1e-13,
             ),
-            (ETA_PLE1, 3, Variant.BOUNDED, 2e-7),
+            (ETA_PLE1, 3, Variant.BOUNDED, 2e-9),
         ],
         ids=["n2-eta0.75", "n2-eta1", "n2-eta1.25", "n6-kappa4/9", "bounded-rate1-n3"],
     )
@@ -542,8 +542,8 @@ class TestBlowup:
         assert abs(fit.beta_est - top) < tol * abs(top)
 
     def test_random_drivers_default_ladder(self):
-        # median 1.8e-10 here; the Aitken step the fixed weights replaced
-        # gave 1.7e-7
+        # median 6.4e-13 here; the fixed weights alone give 1.8e-10, and
+        # the Aitken step on the raw slopes that they replaced gave 1.7e-7
         rng = np.random.default_rng(5)
         errors = []
         for i in range(24):
@@ -562,6 +562,53 @@ class TestBlowup:
         fit = blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED), ladder=lad)
         assert len(fit.slopes) == 5
         assert fit.residual >= 0.0
+
+
+class TestExtrapolate:
+    # _extrapolate on synthetic slopes s_j = beta + a 2^-j + b 4^-j + c rho^j
+    # over the default ladder's j = 6..13
+
+    J = np.arange(6, 14)
+
+    @staticmethod
+    def _fixed_weights(s):
+        return (8 * s[-1] - 6 * s[-2] + s[-3]) / 3
+
+    @pytest.mark.parametrize(
+        "beta, a, b, c, rho",
+        [
+            (4.0, 0.5, -0.3, 0.2, 0.7),
+            (0.17, -1.0, 2.0, -1e-4, 0.8),
+            (-1.3, 0.2, 0.1, 3e-3, -0.6),
+        ],
+    )
+    def test_one_geometric_mode_is_removed(self, beta, a, b, c, rho):
+        # the fixed weights leave the rho^j mode, 2e-5 to 2e-4 relative
+        s = beta + a * 2.0**-self.J + b * 4.0**-self.J + c * rho**self.J
+        assert abs(self._fixed_weights(s) - beta) > 1e-5 * abs(beta)
+        assert abs(fuchsian_series._extrapolate(s) - beta) <= 1e-13 * abs(beta)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            # rho = -1: the differences do not contract
+            2.5 + 2.0**-J + 4.0**-J + (-1.0) ** J,
+            # |rho| = 0.03 < 1, but the ratio before it is 0.40: two modes
+            2.0 + 0.9**J - 12 * 0.7**J,
+            # five slopes give three fixed-weight values, two differences
+            (4.0 + 0.5 * 2.0**-J + 0.2 * 0.7**J)[:5],
+        ],
+        ids=["rho-minus-1", "inconsistent-ratios", "five-slopes"],
+    )
+    def test_declined_step_keeps_the_fixed_weights(self, s):
+        got = fuchsian_series._extrapolate(s)
+        assert got.hex() == float(self._fixed_weights(s)).hex()
+
+    def test_non_finite_or_flat_slopes_decline_without_warning(self):
+        # flat slopes make the ratios 0 / 0, an infinite last slope makes them
+        # inf; pytest would turn a RuntimeWarning from either into an error
+        for s in (np.full(8, 2.0), np.append(np.arange(1.0, 8.0), np.inf)):
+            assert fuchsian_series._extrapolate(s) == self._fixed_weights(s)
 
 
 class TestIntegration:

@@ -536,6 +536,15 @@ class TestNonFiniteInputs:
         with pytest.raises(NumericalError, match="cluster mean"):
             eigen_spectrum(m)
 
+    def test_opposite_eigenvalues_near_the_range_end(self):
+        # their gap overflows, in _near_pairs and in _resonant, but they are
+        # two finite, distinct, non-resonant eigenvalues
+        m = _block_diagonal([1.7e308, -1.7e308], [0.0], [0.0])
+        r = eigen_spectrum(m)
+        assert sorted(c[1] for c in r.clusters) == [1, 1]
+        assert not r.resonant and r.all_real and r.n_nonneg_real == 1
+        assert r.max_real == 1.7e308
+
     @pytest.mark.parametrize(
         "a, b, want",
         [
@@ -1042,10 +1051,13 @@ class TestShiftedSequence:
             ([2.0, 2.0, 5.0], ([1e-300, 0.0], [1e-300, 0.0]), 2.0, 1),
             # diag - shift overflows on the second entry
             ([1.5e308, -1.5e308, 1.0], ([1.5e308, 0.0], [1.5e308, 0.0]), 1e308, 1),
+            # a 2 x 2 block, which scipy's dgttrf wrapper refuses: no
+            # factorization is tried
+            ([1.0, 2.0], ([1.0], [1.0]), 1.5, 0),
         ],
         ids=[
             "zero-pivot", "non-finite-solve", "jordan-block",
-            "overflowing-norm", "overflowing-shift",
+            "overflowing-norm", "overflowing-shift", "n2",
         ],
     )
     def test_shifted_top_gives_up(self, diag, off, shift, factorizations, monkeypatch):
@@ -1058,7 +1070,8 @@ class TestShiftedSequence:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", counted)
         m = _block_diagonal(diag, *off)
-        assert spectral_solver._shifted_top(m, 3, shift, None, None) == (None,) * 3
+        top = spectral_solver._shifted_top(m, len(diag), shift, None, None)
+        assert top == (None,) * 3
         assert len(calls) == factorizations
 
     def test_failed_check_gives_the_all_dense_sequence(self, monkeypatch):
