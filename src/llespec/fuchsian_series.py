@@ -59,7 +59,7 @@ SERIES_TERM_LIMIT = 1 << 20
 _J_MAX_LIMIT = 52
 _INTEGRATION_RTOL = 1e-10
 # when the ladder's propagators are batched: see _batching_pays
-_BATCH_STATE_LIMIT = 4096  # k N^2 floats
+_BATCH_STATE_LIMIT = 6144  # k N^2 floats
 _BATCH_ANY_N = 6
 _STIFF_WIDTH_PER_ROW = 3.0
 
@@ -155,32 +155,38 @@ def series_solution(sys: FuchsianSystem, k_terms: int) -> ThetaSeries:
             f"k_terms {k_terms} exceeds the series term limit {SERIES_TERM_LIMIT}"
         )
     m = sys.matrices
-    c = analytic_null_vector(m)
+    rows = array("d", analytic_null_vector(m).tolist())
+    _extend_rows(m, rows, k_terms)
+    coefficients = np.frombuffer(rows).reshape(k_terms + 1, m.n)
+    return ThetaSeries(variant=m.variant, coefficients=coefficients)
+
+
+def _extend_rows(m: LoewnerMatrices, rows: array, k_terms: int) -> None:
+    """Append c_{K+1}..c_{k_terms} to rows, which holds c_0..c_K flattened,
+    by series_solution's recurrence; rows already computed are kept."""
     (diag, sub), (ab_diag, ab_super) = _local_bands(m)
+    k_done = len(rows) // m.n - 1
     # step k's pivot vanishes only where diag = k: a double off an integer
     # k >= 1 misses it by far more than _PIVOT_TINY
-    hits = diag[(diag >= 1) & (diag <= k_terms) & (diag == np.floor(diag))]
+    hits = diag[(diag > k_done) & (diag <= k_terms) & (diag == np.floor(diag))]
     if hits.size:
         raise DegeneracyError(f"singular solve at series index {int(hits.min())}")
     # The bands are padded at the first and last row so every row runs the
     # same expression: a 0.0 band entry times a -0.0 neighbour adds -0.0,
     # and the first row subtracts 0.0 * 0.0; both leave any value, -0.0
     # included, exactly as it was.
-    c = c.tolist()
-    out = array("d", c)
+    c = rows[-m.n :].tolist()
     sub = [0.0] + sub.tolist()
-    rows = list(zip(ab_diag.tolist(), ab_super.tolist() + [0.0], diag.tolist(), sub))
-    for k in range(k_terms):
+    bands = list(zip(ab_diag.tolist(), ab_super.tolist() + [0.0], diag.tolist(), sub))
+    for k in range(k_done, k_terms):
         shift = -(k + 1)
         x = 0.0
         new = []
-        for (ab_d, ab_s, d, s), c_i, c_up in zip(rows, c, c[1:] + [-0.0]):
+        for (ab_d, ab_s, d, s), c_i, c_up in zip(bands, c, c[1:] + [-0.0]):
             x = ((ab_d - k) * c_i + ab_s * c_up - s * x) / (d + shift)
             new.append(x)
-        out.extend(new)
+        rows.extend(new)
         c = new
-    coefficients = np.frombuffer(out).reshape(k_terms + 1, m.n)
-    return ThetaSeries(variant=m.variant, coefficients=coefficients)
 
 
 def _local_argument(variant: Variant, xi: float) -> float:
@@ -237,10 +243,12 @@ def _angular_mean(theta: np.ndarray, x: float) -> float:
 class GeometricLadder:
     """Evaluation points xi_j = 1 -/+ 2^{-j}, j = j_min..j_max, approaching
     xi = 1 from inside the evaluation domain. j_max is at most 52, since
-    1 + 2^{-53} already rounds to 1.0 in double precision."""
+    1 + 2^{-53} already rounds to 1.0 in double precision. The default
+    j = 6..18 gives 12 slopes; on a census of random-driver fits, j_max 20
+    and 22 raised the median accuracy further but the worst error too."""
 
     j_min: int = 6
-    j_max: int = 14
+    j_max: int = 18
 
     def __post_init__(self):
         if not (0 < self.j_min < self.j_max):
@@ -263,10 +271,10 @@ class BlowupFit:
     (xi_near, xi_far), the nearest and farthest ladder points. residual is
     the maximum deviation of the local slopes from beta_est. The first
     slopes' 2^-j drift, which the fit removes, dominates it, so it is not
-    an error estimate: it reads 0.011 on the N = 2, eta_1 = 1 system, whose
-    beta_est is 4e-15 from 4. oscillation_detected marks a sign change of
-    the mean along the ladder (complex dominant exponents), which makes
-    beta_est unreliable.
+    an error estimate: at the default ladder it reads 0.011 on the N = 2,
+    eta_1 = 1 system, whose beta_est is exactly 4. oscillation_detected
+    marks a sign change of the mean along the ladder (complex dominant
+    exponents), which makes beta_est unreliable.
     """
 
     beta_est: float
@@ -282,8 +290,9 @@ def blowup_exponent(
     """Fit the growth exponent of |angular mean| along the ladder.
 
     theta is summed from the series at x = 1/2 (xi = 1/2 or 2), with 64
-    terms doubled until the tail is below 2^-53 relative to theta; a tail
-    above 1e-6 at SERIES_TERM_LIMIT terms raises PrecisionError. In the
+    terms doubled until the tail is below 2^-53 relative to theta, each
+    pass extending the rows of the last; a tail above 1e-6 at
+    SERIES_TERM_LIMIT terms raises PrecisionError. In the
     log-distance t = -log2|1 - xi| that point is t0 = 1 (unbounded) or 0
     (bounded) and every ladder point is an integer t = j, so the span
     (t0, j_max) falls into unit pieces, whose ends one DOP853 solve
@@ -310,16 +319,19 @@ def blowup_exponent(
     1926): where the last three differences of R contract at a consistent
     ratio (_extrapolate gives the guard), beta_est is
     R_J - (dR_J)^2 / (dR_J - dR_{J-1}); otherwise, and on a ladder with
-    fewer than six slopes, it is R_J. At the default ladder the step takes
-    bounded uniform rate 1, N = 3 from 7.0e-8 to 4.9e-10 relative.
+    fewer than six slopes, it is R_J. At j_max 14 the step takes bounded
+    uniform rate 1, N = 3 from 7.0e-8 to 4.9e-10 relative, and the default
+    ladder's four more rungs (j_max 18) to 1.4e-13.
     """
     ladder = ladder or GeometricLadder()
     _check_dense(sys.n)
     xi0, t0 = (0.5, 1) if sys.variant is Variant.UNBOUNDED else (2.0, 0)
+    rows = array("d", analytic_null_vector(sys.matrices).tolist())
     k_terms, tail, scale = 32, math.inf, 1.0  # the first pass takes 64 terms
     while tail > 2.0**-53 * scale and k_terms < SERIES_TERM_LIMIT:
         k_terms *= 2
-        series = series_solution(sys, k_terms)
+        _extend_rows(sys.matrices, rows, k_terms)
+        series = ThetaSeries(sys.variant, np.array(rows).reshape(k_terms + 1, sys.n))
         theta, tail = evaluate_theta_with_tail(series, xi0)
         scale = float(np.max(np.abs(theta)))
         if scale == 0.0 or not math.isfinite(scale):
@@ -401,10 +413,11 @@ def _integrate_log_distance(
 
     One DOP853 solve integrates p runs of q consecutive pieces each, all
     in one local time tau in [0, 1], and keeps each run's state at the
-    ends of its pieces, tau = j / q. The state is p N x c matrices, which
-    each right-hand side multiplies by ln2 B and ln2 A, stacked, in one
-    batched product, and phi is chained through the runs' outputs. The
-    solve's shape is the only choice:
+    ends of its pieces, tau = j / q. The state is laid out (N, p, c): p
+    N x c matrices side by side, so each right-hand side multiplies the
+    N x pc matrix by ln2 B and ln2 A, stacked, in one 2-D product, and phi
+    is chained through the runs' outputs. The solve's shape is the only
+    choice:
 
     - batched, where _batching_pays: p = k runs of one piece, each the
       N x N propagator of its piece from the identity, through which k
@@ -421,9 +434,11 @@ def _integrate_log_distance(
     n = sys.n
     k = t1 - t0
     if _batching_pays(sys.matrices, k):
-        p, q, y0, start = k, 1, np.broadcast_to(np.eye(n), (k, n, n)), theta0
+        p, q, start = k, 1, theta0
+        y0 = np.broadcast_to(np.eye(n)[:, None], (n, k, n))
     else:
-        p, q, y0, start = 1, k, theta0.reshape(1, n, 1), np.ones(1)
+        p, q, start = 1, k, np.ones(1)
+        y0 = theta0.reshape(n, 1, 1)
     sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
     # q (ln2 B - r I) over q ln2 A, the operators in tau over a run's q
     # units of t, built in place half by half: at most 3 N x N at once
@@ -437,9 +452,9 @@ def _integrate_log_distance(
     d_starts = sign * 2.0 ** -(t0 + q * np.arange(p))  # d at each run's start
 
     def rhs(tau, y):
-        hy = h @ y.reshape(p, n, -1)
+        hy = (h @ y.reshape(n, -1)).reshape(2 * n, p, -1)
         d = d_starts * 2.0 ** (-q * tau)
-        return (hy[:, :n] - (d / (1.0 + d))[:, None, None] * hy[:, n:]).ravel()
+        return (hy[:n] - (d / (1.0 + d))[:, None] * hy[n:]).ravel()
 
     sol = scipy.integrate.solve_ivp(
         rhs,
@@ -453,7 +468,7 @@ def _integrate_log_distance(
     if not sol.success:
         raise NumericalError(f"integration failed: {sol.message}")
     phi = [theta0]
-    for run in np.moveaxis(sol.y.reshape(p, n, -1, q), -1, 1):
+    for run in sol.y.reshape(n, p, -1, q).transpose(1, 3, 0, 2):
         out = run @ start  # phi at the ends of the run's pieces
         phi.extend(out)
         start = out[-1]
@@ -472,7 +487,8 @@ def _batching_pays(m: LoewnerMatrices, k: int) -> bool:
     the batched solve per piece: batching saves up to a factor k. The
     spread is bounded by the Gershgorin width of ln2 B, read off its bands.
     One piece (k = 1) gains nothing, and the state limit keeps the k N^2
-    floats of each DOP853 stage small.
+    floats of each DOP853 stage small; at 6144 it admits every N <= 17
+    over the default ladder's 17-18 pieces (18 * 17^2 = 5202).
 
     The thresholds come from timing both solves in blowup_exponent on 330
     systems (Brownian drivers, among them the truncating ones, stiff and

@@ -297,7 +297,7 @@ class TestBlowup:
         fit = blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED))
         assert not fit.oscillation_detected
         assert fit.beta_est == pytest.approx(4.0, abs=1e-5)
-        assert fit.window[0] == pytest.approx(1 - 2.0**-14)
+        assert fit.window[0] == pytest.approx(1 - 2.0**-18)
         assert fit.window[1] == pytest.approx(1 - 2.0**-6)
 
     def test_bounded_ple_exponent(self):
@@ -456,13 +456,25 @@ class TestBlowup:
             (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED, 1, False),
             (LevyDriver(kappa=2 * 18 / 16**2), 16, Variant.UNBOUNDED, 13, False),
             (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 13, False),
+            # the default ladder's 17 (unbounded) and 18 (bounded) pieces
+            (LevyDriver(kappa=4.0 / 9.0), 6, Variant.UNBOUNDED, 17, True),
+            (LevyDriver(kappa=4.0 / 9.0), 6, Variant.UNBOUNDED, 18, True),
+            (LevyDriver(kappa=6.0, uniform_rate=5.0), 17, Variant.UNBOUNDED, 17, True),
+            (LevyDriver(uniform_rate=98.5), 17, Variant.BOUNDED, 18, True),
+            (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 17, False),
+            (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 18, False),
         ],
-        ids=["small", "stiff", "one-piece", "truncating-16", "state-limit"],
+        ids=[
+            "small", "stiff", "one-piece", "truncating-16", "state-limit",
+            "small-17", "small-18", "stiff-17-17", "stiff-17-18",
+            "state-limit-17", "state-limit-18",
+        ],
     )
     def test_batching_choice(self, driver, n, variant, k, batched):
         # measured: batching wins on small or stiff systems, and loses 2-5x
         # on the truncating Brownian drivers at N = 12-24 and on every
-        # system tried from N ~ 32
+        # system tried from N ~ 32; the state limit keeps every stiff
+        # N <= 17 batched at the default ladder's 18 pieces
         m = build_matrices(eta_sequence(driver, n), n, variant)
         assert fuchsian_series._batching_pays(m, k) is batched
 
@@ -530,7 +542,7 @@ class TestBlowup:
                 Variant.UNBOUNDED,
                 1e-13,
             ),
-            (ETA_PLE1, 3, Variant.BOUNDED, 2e-9),
+            (ETA_PLE1, 3, Variant.BOUNDED, 1e-12),
         ],
         ids=["n2-eta0.75", "n2-eta1", "n2-eta1.25", "n6-kappa4/9", "bounded-rate1-n3"],
     )
@@ -542,8 +554,9 @@ class TestBlowup:
         assert abs(fit.beta_est - top) < tol * abs(top)
 
     def test_random_drivers_default_ladder(self):
-        # median 6.4e-13 here; the fixed weights alone give 1.8e-10, and
-        # the Aitken step on the raw slopes that they replaced gave 1.7e-7
+        # median 9.2e-15 here at j_max 18 (6.4e-13 at j_max 14; the fixed
+        # weights alone gave 1.8e-10 there, and the Aitken step on the raw
+        # slopes that they replaced 1.7e-7)
         rng = np.random.default_rng(5)
         errors = []
         for i in range(24):
@@ -555,7 +568,33 @@ class TestBlowup:
                 fit = blowup_exponent(FuchsianSystem(m))
                 errors.append(abs(fit.beta_est - top) / abs(top))
         assert len(errors) >= 20
-        assert np.median(errors) <= 1e-8
+        assert np.median(errors) <= 1e-11
+
+    def test_series_passes_extend_each_other(self, monkeypatch):
+        # N = 2's tail needs 128 terms at x = 1/2: the second pass appends
+        # rows 65..128 to the first pass's rows instead of summing from c_0
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        computed, seen = [], []
+        extend, evaluate = fuchsian_series._extend_rows, evaluate_theta_with_tail
+
+        def counting(m, rows, k_terms):
+            k_done = len(rows) // m.n - 1
+            extend(m, rows, k_terms)
+            computed.extend(range(k_done + 1, k_terms + 1))
+
+        def recording(series, xi):
+            seen.append(series)
+            return evaluate(series, xi)
+
+        monkeypatch.setattr(fuchsian_series, "_extend_rows", counting)
+        monkeypatch.setattr(fuchsian_series, "evaluate_theta_with_tail", recording)
+        blowup_exponent(sys)
+        assert [s.order for s in seen] == [64, 128]
+        assert computed == list(range(1, 129))
+        want = series_solution(sys, 128).coefficients
+        assert [v.hex() for v in seen[-1].coefficients.ravel().tolist()] == [
+            v.hex() for v in want.ravel().tolist()
+        ]
 
     def test_slopes_and_residual_reported(self):
         lad = GeometricLadder(j_min=4, j_max=9)
