@@ -34,7 +34,7 @@ CASES = [
     ("bounded, uniform jump rate 1 (closes at N=3)", LevyDriver(uniform_rate=1.0), 3, Variant.BOUNDED),
 ]
 
-# the three cases spread by 1e-15 to 5e-10 relative, the blowup fit farthest
+# the three cases spread by 2e-16 to 2e-15 relative
 SPREAD_REL = 1e-5
 
 

@@ -15,10 +15,11 @@ beta(2). The series is summed only at x = 1/2, where it converges like
 between) carries theta from there to every ladder point. It is integrated
 in the log-distance t = -log2|1 - xi|, where the ladder points are the
 integers t = j and the distance 2^-t is never formed by cancellation, so
-the ladder reaches the double-precision limit j_max = 52, in one adaptive
-solve (see _integrate_log_distance for its two shapes). There theta grows
-like 2^(beta t); an integrating factor e^(-r t), with r read off the
-series' coefficient growth, takes most of that growth out.
+the ladder reaches the double-precision limit j_max = 52. There the system
+reads theta' = (ln2 B + f(t) A) theta with one scalar f, and a
+fourth-order Magnus step takes it at any stiffness with one matrix
+exponential; above a size limit one DOP853 solve carries the N-vector
+instead (see _integrate_log_distance).
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ _TAIL_GATE = 1e-6
 SERIES_TERM_LIMIT = 1 << 20
 _J_MAX_LIMIT = 52
 _INTEGRATION_RTOL = 1e-10
-# when the ladder's propagators are batched: see _batching_pays
-_BATCH_STATE_LIMIT = 6144  # k N^2 floats
-_BATCH_ANY_N = 6
-_STIFF_WIDTH_PER_ROW = 3.0
+# N up to which _integrate_log_distance takes Magnus steps, and their cap
+_MAGNUS_LIMIT = 96
+_SUBSTEP_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -244,11 +244,11 @@ class GeometricLadder:
     """Evaluation points xi_j = 1 -/+ 2^{-j}, j = j_min..j_max, approaching
     xi = 1 from inside the evaluation domain. j_max is at most 52, since
     1 + 2^{-53} already rounds to 1.0 in double precision. The default
-    j = 6..18 gives 12 slopes; on a census of random-driver fits, j_max 20
-    and 22 raised the median accuracy further but the worst error too."""
+    j = 6..22 gives 16 slopes; with the Magnus steps' error in them, bounded
+    uniform rate 1, N = 3 reads 1.4e-13 at j_max 18 and 1.1e-15 at 22."""
 
     j_min: int = 6
-    j_max: int = 18
+    j_max: int = 22
 
     def __post_init__(self):
         if not (0 < self.j_min < self.j_max):
@@ -268,13 +268,15 @@ class BlowupFit:
     beta_est is the fixed-weight Richardson value over the last three
     slopes, advanced by one Aitken step where those values contract
     geometrically along the ladder (see blowup_exponent). window is
-    (xi_near, xi_far), the nearest and farthest ladder points. residual is
-    the maximum deviation of the local slopes from beta_est. The first
-    slopes' 2^-j drift, which the fit removes, dominates it, so it is not
-    an error estimate: at the default ladder it reads 0.011 on the N = 2,
-    eta_1 = 1 system, whose beta_est is exactly 4. oscillation_detected
-    marks a sign change of the mean along the ladder (complex dominant
-    exponents), which makes beta_est unreliable.
+    (xi_near, xi_far), the nearest and farthest ladder points. slopes
+    carry the Magnus steps' error, a function of 2^-j that the fit removes
+    (at j = 6: 5e-6 in the median over 155 random-driver systems, 4e-3 on
+    bounded rate 98.5, N = 14). residual is the maximum deviation of the
+    slopes from beta_est. Their 2^-j drift dominates it, so it is not an
+    error estimate: at the default ladder it reads 0.011 on the N = 2,
+    eta_1 = 1 system, whose beta_est is exactly 4.
+    oscillation_detected marks a sign change of the mean along the ladder
+    (complex dominant exponents), which makes beta_est unreliable.
     """
 
     beta_est: float
@@ -295,16 +297,15 @@ def blowup_exponent(
     SERIES_TERM_LIMIT terms raises PrecisionError. In the
     log-distance t = -log2|1 - xi| that point is t0 = 1 (unbounded) or 0
     (bounded) and every ladder point is an integer t = j, so the span
-    (t0, j_max) falls into unit pieces, whose ends one DOP853 solve
-    reaches (see _integrate_log_distance). No distance is formed by
-    cancellation, so the ladder holds to the double-precision limit
-    j_max = 52, and j_min costs no series terms. The integration uses the
-    dense residue matrices, so N above loewner_system.DENSE_LIMIT raises
-    CapacityError before the series is summed.
-
-    The integrating factor's rate r, near beta ln2, comes from the same
-    series: |c_k| ~ k^(beta - 1), so over its nonzero rows c, with
-    K = len(c) - 1, r = ln2 + ln(max|c_K| / max|c_{K//2}|).
+    (t0, j_max) falls into unit pieces (see _integrate_log_distance). No
+    distance is formed by cancellation, so the ladder holds to the
+    double-precision limit j_max = 52, and j_min costs no series terms. The
+    integration uses the dense residue matrices, so N above
+    loewner_system.DENSE_LIMIT raises CapacityError before the series is
+    summed. Above the Magnus size limit DOP853 needs the rate r ~ beta ln2
+    of theta's growth, which the series gives: |c_k| ~ k^(beta - 1), so
+    over its nonzero rows c, with K = len(c) - 1,
+    r = ln2 + ln(max|c_K| / max|c_{K//2}|).
 
     The local slope between consecutive points is
     s_j = log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j| = 2^-j,
@@ -319,9 +320,8 @@ def blowup_exponent(
     1926): where the last three differences of R contract at a consistent
     ratio (_extrapolate gives the guard), beta_est is
     R_J - (dR_J)^2 / (dR_J - dR_{J-1}); otherwise, and on a ladder with
-    fewer than six slopes, it is R_J. At j_max 14 the step takes bounded
-    uniform rate 1, N = 3 from 7.0e-8 to 4.9e-10 relative, and the default
-    ladder's four more rungs (j_max 18) to 1.4e-13.
+    fewer than six slopes, it is R_J. On bounded uniform rate 1, N = 3
+    the default ladder reads 1.1e-15 relative.
     """
     ladder = ladder or GeometricLadder()
     _check_dense(sys.n)
@@ -350,7 +350,8 @@ def blowup_exponent(
     points = ladder.points(sys.variant)
     xs = [_local_argument(sys.variant, xi) for xi in points]
     g = np.array([_angular_mean(th, x) for th, x in zip(thetas, xs)])
-    oscillation = bool(np.any(g[:-1] * g[1:] < 0))
+    # signs, not products, which overflow once |g| passes 1e154
+    oscillation = bool(np.any(np.signbit(g[:-1]) != np.signbit(g[1:])))
     if np.any(g == 0):
         raise NumericalError("angular mean vanishes on the ladder")
     s = np.log2(np.abs(g[1:] / g[:-1]))
@@ -390,119 +391,113 @@ def _extrapolate(s: np.ndarray) -> float:
 
 
 def _integrate_log_distance(
-    sys: FuchsianSystem,
-    t0: int,
-    t1: int,
-    theta0: np.ndarray,
-    r: float,
+    sys: FuchsianSystem, t0: int, t1: int, theta0: np.ndarray, r: float
 ) -> np.ndarray:
     """theta at the integers t = t0..t1, t0 < t1, of the log-distance
     t = -log2|1 - xi| on the variant's side of the singular point,
     xi = 1 - 2^-t (unbounded) or 1 + 2^-t (bounded); row i is
-    theta(t0 + i), row 0 is theta0. The span falls into k = t1 - t0 unit
-    pieces.
+    theta(t0 + i), row 0 is theta0. With d = -/+ 2^-t on that side the
+    system reads dtheta/dt = (ln2 B + f(t) A) theta, f = -ln2 d / (1 + d);
+    d is exact in t, so theta is carried as close to xi = 1 as 2^-t
+    resolves.
 
-    With d = -/+ 2^-t on that side the system reads
-    dtheta/dt = ln2 [B theta - d / (1 + d) A theta]; d is exact in t, so
-    theta is carried as close to xi = 1 as 2^-t resolves.
-
-    As d -> 0 the operator tends to ln2 B, so theta grows or decays like
-    2^(beta t). DOP853 integrates phi = e^(-r (t - t0)) theta instead, with
-    r the caller's estimate of that rate, beta ln2; the change of variables
-    is exact for any r, and row i is scaled back by e^(r i).
-
-    One DOP853 solve integrates p runs of q consecutive pieces each, all
-    in one local time tau in [0, 1], and keeps each run's state at the
-    ends of its pieces, tau = j / q. The state is laid out (N, p, c): p
-    N x c matrices side by side, so each right-hand side multiplies the
-    N x pc matrix by ln2 B and ln2 A, stacked, in one 2-D product, and phi
-    is chained through the runs' outputs. The solve's shape is the only
-    choice:
-
-    - batched, where _batching_pays: p = k runs of one piece, each the
-      N x N propagator of its piece from the identity, through which k
-      matrix-vector products chain phi. The steps follow the hardest
-      single piece rather than the whole span, and the integration error
-      does not build up along the span.
-    - vector, otherwise: p = 1 run of k pieces, which carries the N-vector
-      phi itself from theta0, at O(N^2) per right-hand side.
-
-    atol is 1e-13 relative to the largest entry of the start state.
+    Up to N = _MAGNUS_LIMIT each unit piece of the span takes q Magnus
+    substeps (_magnus_chain). q is one number for the span, so each
+    piece's error is a function of 2^-t that the fit's fixed weights
+    remove; it starts at 2 and doubles, rerunning the span, while a substep
+    leaves finite range, and above _SUBSTEP_LIMIT raises NumericalError.
+    Above the limit, where the O(N^3) exponential stops beating it (they
+    cross between N = 96 and 100 on the truncating Brownian family), one
+    DOP853 solve carries the N-vector at O(N^2) per right-hand side
+    (_dop853_chain).
     """
-    import scipy.integrate  # only user in the package; kept off the import path
+    if sys.n > _MAGNUS_LIMIT:
+        return _dop853_chain(sys, t0, t1, theta0, r)
+    q = 2
+    while (chain := _magnus_chain(sys, t0, t1, theta0, q)) is None:
+        q *= 2
+        if q > _SUBSTEP_LIMIT:
+            raise NumericalError(
+                f"Magnus substeps left finite range at {_SUBSTEP_LIMIT} per unit of t"
+            )
+    return chain
+
+
+def _magnus_chain(
+    sys: FuchsianSystem, t0: int, t1: int, theta0: np.ndarray, q: int
+) -> np.ndarray | None:
+    """_integrate_log_distance's rows by q fourth-order Magnus substeps per
+    unit of t (Iserles and Norsett 1999; Blanes, Casas, Oteo and Ros 2009),
+    or None where a substep leaves finite range.
+
+    A substep of length h takes f at its two Gauss points, f1 and f2:
+    Omega = h (ln2 B + (f1 + f2) A / 2) + (sqrt3/12) h^2 (f1 - f2) ln2 [B, A],
+    and theta <- expm(Omega) theta, which holds at any stiffness. theta is
+    then divided by a power of two near max|theta| and the exponent
+    carried, so its growth like 2^(beta t) costs no range and no rounding.
+    """
+    import scipy.linalg  # kept off the import path
+
+    ln2 = math.log(2.0)
+    b, a = ln2 * sys.matrices.b_dense(), sys.matrices.a_dense()
+    h = 1.0 / q
+    hb, hc = h * b, (math.sqrt(3.0) / 12.0 * h * h) * (b @ a - a @ b)
+    sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
+    nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+    d = sign * 2.0 ** -(t0 + (np.arange((t1 - t0) * q)[:, None] + nodes) * h)
+    f = -ln2 * d / (1.0 + d)
+    theta, exponent, rows, exponents = theta0, 0, [theta0], [0]
+    for i, (f1, f2) in enumerate(f.tolist(), start=1):
+        omega = hb + (0.5 * h * (f1 + f2)) * a + (f1 - f2) * hc
+        with np.errstate(all="ignore"):  # an overflow is caught below
+            theta = scipy.linalg.expm(omega) @ theta
+        scale = float(np.max(np.abs(theta)))
+        if not math.isfinite(scale):
+            return None
+        if scale:  # a zero theta stays zero
+            e = math.frexp(scale)[1]
+            theta, exponent = np.ldexp(theta, -e), exponent + e
+        if i % q == 0:
+            rows.append(theta)
+            exponents.append(exponent)
+    with np.errstate(over="ignore"):  # the caller tests the rows' range
+        return np.ldexp(rows, np.array(exponents)[:, None])
+
+
+def _dop853_chain(
+    sys: FuchsianSystem, t0: int, t1: int, theta0: np.ndarray, r: float
+) -> np.ndarray:
+    """_integrate_log_distance's rows by one DOP853 solve over the span.
+    Near xi = 1 theta grows or decays like 2^(beta t), so DOP853 integrates
+    phi = e^(-r (t - t0)) theta, with r the caller's estimate of beta ln2,
+    an exact change of variables for any r; row i is scaled back by
+    e^(r i). atol is 1e-13 relative to the largest entry of theta0."""
+    import scipy.integrate  # kept off the import path
 
     n = sys.n
-    k = t1 - t0
-    if _batching_pays(sys.matrices, k):
-        p, q, start = k, 1, theta0
-        y0 = np.broadcast_to(np.eye(n)[:, None], (n, k, n))
-    else:
-        p, q, start = 1, k, np.ones(1)
-        y0 = theta0.reshape(n, 1, 1)
     sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
-    # q (ln2 B - r I) over q ln2 A, the operators in tau over a run's q
-    # units of t, built in place half by half: at most 3 N x N at once
+    # ln2 B - r I over ln2 A, built in place: at most 3 N x N at once
     h = np.empty((2 * n, n))
     h[:n] = sys.matrices.b_dense()
     h[n:] = sys.matrices.a_dense()
-    h[:n] *= math.log(2.0)
+    h *= math.log(2.0)
     h.flat[: n * n : n + 1] -= r
-    h[:n] *= q
-    h[n:] *= q * math.log(2.0)
-    d_starts = sign * 2.0 ** -(t0 + q * np.arange(p))  # d at each run's start
 
-    def rhs(tau, y):
-        hy = (h @ y.reshape(n, -1)).reshape(2 * n, p, -1)
-        d = d_starts * 2.0 ** (-q * tau)
-        return (hy[:n] - (d / (1.0 + d))[:, None] * hy[n:]).ravel()
+    def rhs(t, y):
+        hy = h @ y
+        d = sign * 2.0**-t
+        return hy[:n] - d / (1.0 + d) * hy[n:]
 
     sol = scipy.integrate.solve_ivp(
         rhs,
-        (0.0, 1.0),
-        y0.ravel(),
+        (t0, t1),
+        theta0,
         method="DOP853",
-        t_eval=np.arange(1, q + 1) / q,  # the piece ends, not every step
+        t_eval=np.arange(t0 + 1, t1 + 1),  # the piece ends, not every step
         rtol=_INTEGRATION_RTOL,
-        atol=1e-13 * (float(np.max(np.abs(y0))) or 1.0),
+        atol=1e-13 * (float(np.max(np.abs(theta0))) or 1.0),
     )
     if not sol.success:
         raise NumericalError(f"integration failed: {sol.message}")
-    phi = [theta0]
-    for run in sol.y.reshape(n, p, -1, q).transpose(1, 3, 0, 2):
-        out = run @ start  # phi at the ends of the run's pieces
-        phi.extend(out)
-        start = out[-1]
-    return np.array(phi) * np.exp(r * np.arange(k + 1))[:, None]
-
-
-def _batching_pays(m: LoewnerMatrices, k: int) -> bool:
-    """Whether _integrate_log_distance's batched shape, k propagators, costs
-    less than its vector shape, one N-vector over the span.
-
-    A batched step costs O(k N^3) against O(N^2), and the propagators, which
-    start at the identity, resolve all N modes, so they need more steps per
-    piece as N grows, where the vector solve may take a few per unit of t.
-    The vector solve is stability-bound once the spectrum of ln2 B spreads
-    far below its top, and then takes about as many steps per unit of t as
-    the batched solve per piece: batching saves up to a factor k. The
-    spread is bounded by the Gershgorin width of ln2 B, read off its bands.
-    One piece (k = 1) gains nothing, and the state limit keeps the k N^2
-    floats of each DOP853 stage small; at 6144 it admits every N <= 17
-    over the default ladder's 17-18 pieces (18 * 17^2 = 5202).
-
-    The thresholds come from timing both solves in blowup_exponent on 330
-    systems (Brownian drivers, among them the truncating ones, stiff and
-    random drivers; N = 2..24, ladders to j = 14, 30 and 52): with them the
-    batched solve is chosen only where it was faster, and the fit takes
-    0.44 of the vector solve's time in the geometric mean.
-    """
-    n = m.n
-    if k < 2 or k * n * n > _BATCH_STATE_LIMIT:
-        return False
-    if n <= _BATCH_ANY_N:
-        return True
-    radius = np.zeros(n)
-    radius[1:] += np.abs(m.b_sub)
-    radius[:-1] += np.abs(m.b_super)
-    width = float(np.max(m.b_diag + radius) - np.min(m.b_diag - radius))
-    return math.log(2.0) * width >= _STIFF_WIDTH_PER_ROW * n
+    phi = np.vstack([theta0, sol.y.T])
+    return phi * np.exp(r * np.arange(t1 - t0 + 1))[:, None]

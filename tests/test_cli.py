@@ -353,6 +353,21 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
 
 
+    def test_small_fit_leaves_scipy_integrate_unloaded(self):
+        # up to the Magnus size limit route 3 needs only scipy.linalg's
+        # exponential; kappa = 4/9 closes at N = 6
+        code = (
+            "import sys, llespec.cli; "
+            "llespec.cli.main(['fuchs', '--kappa', '0.4444444444444444', '--json']); "
+            "sys.exit('scipy.integrate' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 6
+
+
 class TestSpectrumCommand:
     def test_auto_truncation(self, capsys):
         code, text = run_main(capsys, "spectrum", "--kappa", "2", "--json")
@@ -557,8 +572,8 @@ class TestFuchsCommand:
         assert abs(json.loads(text)["beta_est"] - 4.0) < 1e-8
 
     def test_large_truncating_system(self, capsys):
-        # 13 batched propagators of N = 300 would hold ~9 MB in each DOP853
-        # stage; this system takes the vector solve, as at N = 1000 (~9 s)
+        # above the Magnus size limit one DOP853 solve carries the N-vector,
+        # as at N = 1000 (~9 s), and no N x N exponential is formed
         n = 300
         code, text = run_main(
             capsys,

@@ -297,7 +297,7 @@ class TestBlowup:
         fit = blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED))
         assert not fit.oscillation_detected
         assert fit.beta_est == pytest.approx(4.0, abs=1e-5)
-        assert fit.window[0] == pytest.approx(1 - 2.0**-18)
+        assert fit.window[0] == pytest.approx(1 - 2.0**-22)
         assert fit.window[1] == pytest.approx(1 - 2.0**-6)
 
     def test_bounded_ple_exponent(self):
@@ -367,6 +367,69 @@ class TestBlowup:
             fit = blowup_exponent(FuchsianSystem(m), ladder=GeometricLadder(6, j_max))
             assert abs(fit.beta_est - top) < tol * top
 
+    @pytest.mark.parametrize("rate", [1e5, 1e6], ids=["1e5", "1e6"])
+    def test_very_strongly_driven_bounded(self, rate):
+        # two substeps per piece overflow inside the exponential here; the
+        # count doubles to 32 and 64, the same on every piece
+        m = build_matrices(
+            eta_sequence(LevyDriver(uniform_rate=rate), 3), 3, Variant.BOUNDED
+        )
+        top = eigen_spectrum(m).max_real
+        fit = blowup_exponent(FuchsianSystem(m))
+        assert abs(fit.beta_est - top) < 1e-10 * abs(top)
+
+    @pytest.mark.parametrize(
+        "rate, q", [(1.0, 2), (1e5, 32)], ids=["rate1", "rate1e5"]
+    )
+    def test_every_piece_takes_the_same_substeps(self, monkeypatch, rate, q):
+        # each exponent is h ln2 B + x A + y ln2 [B, A]; h, read back by least
+        # squares, is 1/q on each of the last k q calls, the run that fills
+        # the 22 pieces of the default ladder, and larger on every call of
+        # the runs it replaced
+        import scipy.linalg
+
+        m = build_matrices(
+            eta_sequence(LevyDriver(uniform_rate=rate), 3), 3, Variant.BOUNDED
+        )
+        b, a = math.log(2.0) * m.b_dense(), m.a_dense()
+        basis = np.stack([b, a, b @ a - a @ b]).reshape(3, -1).T
+        steps = []
+        expm = scipy.linalg.expm
+
+        def recording(omega):
+            steps.append(np.linalg.lstsq(basis, omega.ravel(), rcond=None)[0][0])
+            return expm(omega)
+
+        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        blowup_exponent(FuchsianSystem(m))
+        k = GeometricLadder().j_max
+        np.testing.assert_allclose(steps[-k * q :], 1.0 / q, rtol=1e-9)
+        assert all(h > 1.5 / q for h in steps[: -k * q])
+
+    def test_substep_cap_raises(self, monkeypatch):
+        # rate 1e5 needs 32 substeps per piece to stay in finite range
+        monkeypatch.setattr(fuchsian_series, "_SUBSTEP_LIMIT", 16)
+        m = build_matrices(
+            eta_sequence(LevyDriver(uniform_rate=1e5), 3), 3, Variant.BOUNDED
+        )
+        with pytest.raises(NumericalError, match="finite range at 16 "):
+            blowup_exponent(FuchsianSystem(m))
+
+    @pytest.mark.parametrize("sign, oscillates", [(1.0, False), (-1.0, True)])
+    def test_oscillation_test_takes_huge_means(self, monkeypatch, sign, oscillates):
+        # means near 1e200: the product of two neighbours overflows, which
+        # pytest turns into an error, while their signs compare exactly
+        def chain(sys, t0, t1, theta0, r):
+            i = np.arange(t1 - t0 + 1)
+            out = np.zeros((t1 - t0 + 1, sys.n))
+            out[:, 0] = 1e200 * 2.0**i * sign**i
+            return out
+
+        monkeypatch.setattr(fuchsian_series, "_integrate_log_distance", chain)
+        fit = blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED))
+        assert fit.oscillation_detected is oscillates
+        assert math.isfinite(fit.beta_est)
+
     def test_non_finite_chain_raises(self, monkeypatch):
         def chain(sys, t0, t1, theta0, r):
             out = np.ones((t1 - t0 + 1, sys.n))
@@ -377,8 +440,12 @@ class TestBlowup:
         with pytest.raises(NumericalError, match="finite"):
             blowup_exponent(_system(ETA_SLE2, 2, Variant.UNBOUNDED))
 
-    def test_ladder_from_the_integration_start(self):
-        # unbounded theta is summed at xi = 1/2, which is the ladder's j = 1
+    def test_ladder_from_the_integration_start(self, monkeypatch):
+        # unbounded theta is summed at xi = 1/2, which is the ladder's j = 1;
+        # the first slope is checked on the vector layout, since two Magnus
+        # substeps per piece leave 1e-4 in the first piece's row, an error
+        # smooth in 2^-j that the fit removes
+        monkeypatch.setattr(fuchsian_series, "_MAGNUS_LIMIT", 0)
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
         fit = blowup_exponent(sys, ladder=GeometricLadder(1, 9))
         series = series_solution(sys, 2000)
@@ -397,23 +464,26 @@ class TestBlowup:
         ids=["unbounded-kappa6-rate5", "bounded-rate98.5"],
     )
     def test_stiff_driver_step_count(self, monkeypatch, driver, n, variant):
-        # B's spectral radius is 100-210 here, so DOP853's steps are limited
-        # by stability; per unit piece, not per ladder, that costs ~1,000
-        # right-hand sides (a solve over the whole span took 6,600-8,200)
+        # B's spectral radius is 100-210 here; DOP853 was stability-bound at
+        # ~1,000 right-hand sides per piece, while the exponential takes the
+        # default two substeps on each of the 17-18 pieces
         import scipy.integrate
+        import scipy.linalg
 
-        nfev = []
-        solve_ivp = scipy.integrate.solve_ivp
+        calls = []
+        expm = scipy.linalg.expm
 
-        def counting(*args, **kwargs):
-            sol = solve_ivp(*args, **kwargs)
-            nfev.append(sol.nfev)
-            return sol
+        def counting(omega):
+            calls.append(1)
+            return expm(omega)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+        def refused(*args, **kwargs):
+            raise AssertionError("solve_ivp called on the Magnus range")
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refused)
         blowup_exponent(_system(eta_sequence(driver, n), n, variant))
-        assert nfev and sum(nfev) <= 2000
-        assert len(nfev) == 1  # one solve_ivp call per fit
+        assert 0 < len(calls) <= 4 * 22
 
     @pytest.mark.parametrize(
         "driver, n, variant",
@@ -424,64 +494,21 @@ class TestBlowup:
         ],
         ids=["unbounded-kappa0.3-8", "bounded-rate3-5", "bounded-rate98.5-14"],
     )
-    def test_batched_and_vector_solves_agree(self, monkeypatch, driver, n, variant):
-        # _integrate_log_distance carries theta along the ladder either way,
-        # in one solve_ivp call per fit
-        import scipy.integrate
-
-        calls = []
-        solve_ivp = scipy.integrate.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    def test_magnus_and_vector_solves_agree(self, monkeypatch, driver, n, variant):
+        # _integrate_log_distance carries theta along the ladder by Magnus
+        # steps up to its size limit and by one DOP853 solve above it
         sys = _system(eta_sequence(driver, n), n, variant)
         fits = []
-        for batched in (True, False):
-            monkeypatch.setattr(
-                fuchsian_series, "_batching_pays", lambda m, k, b=batched: b
-            )
-            calls.clear()
+        for limit in (n, n - 1):
+            monkeypatch.setattr(fuchsian_series, "_MAGNUS_LIMIT", limit)
             fits.append(blowup_exponent(sys))
-            assert len(calls) == 1
-        np.testing.assert_allclose(fits[0].slopes, fits[1].slopes, rtol=1e-7)
-
-    @pytest.mark.parametrize(
-        "driver, n, variant, k, batched",
-        [
-            (LevyDriver(kappa=4.0 / 9.0), 6, Variant.UNBOUNDED, 13, True),
-            (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED, 14, True),
-            (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED, 1, False),
-            (LevyDriver(kappa=2 * 18 / 16**2), 16, Variant.UNBOUNDED, 13, False),
-            (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 13, False),
-            # the default ladder's 17 (unbounded) and 18 (bounded) pieces
-            (LevyDriver(kappa=4.0 / 9.0), 6, Variant.UNBOUNDED, 17, True),
-            (LevyDriver(kappa=4.0 / 9.0), 6, Variant.UNBOUNDED, 18, True),
-            (LevyDriver(kappa=6.0, uniform_rate=5.0), 17, Variant.UNBOUNDED, 17, True),
-            (LevyDriver(uniform_rate=98.5), 17, Variant.BOUNDED, 18, True),
-            (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 17, False),
-            (LevyDriver(kappa=6.0, uniform_rate=5.0), 32, Variant.UNBOUNDED, 18, False),
-        ],
-        ids=[
-            "small", "stiff", "one-piece", "truncating-16", "state-limit",
-            "small-17", "small-18", "stiff-17-17", "stiff-17-18",
-            "state-limit-17", "state-limit-18",
-        ],
-    )
-    def test_batching_choice(self, driver, n, variant, k, batched):
-        # measured: batching wins on small or stiff systems, and loses 2-5x
-        # on the truncating Brownian drivers at N = 12-24 and on every
-        # system tried from N ~ 32; the state limit keeps every stiff
-        # N <= 17 batched at the default ladder's 18 pieces
-        m = build_matrices(eta_sequence(driver, n), n, variant)
-        assert fuchsian_series._batching_pays(m, k) is batched
+        np.testing.assert_allclose(fits[0].beta_est, fits[1].beta_est, rtol=1e-7)
 
     def test_large_system_holds_no_propagators(self):
-        # 13 propagators of N = 200 would hold 13 * 200^2 floats in each of
-        # DOP853's ~16 stage vectors (~40 MiB); one vector solve holds the
-        # two dense residue matrices and a few N-vectors
+        # above the Magnus size limit one DOP853 solve carries the N-vector:
+        # it holds the two dense residue matrices and a few N-vectors, where
+        # a solve over N x N propagators would hold N^2 floats in each of its
+        # ~16 stage vectors
         n = 200
         eta = eta_sequence(LevyDriver(kappa=2.0 * (n + 2) / n**2), n)
         sys = _system(eta, n, Variant.UNBOUNDED)
@@ -542,7 +569,7 @@ class TestBlowup:
                 Variant.UNBOUNDED,
                 1e-13,
             ),
-            (ETA_PLE1, 3, Variant.BOUNDED, 1e-12),
+            (ETA_PLE1, 3, Variant.BOUNDED, 2e-13),
         ],
         ids=["n2-eta0.75", "n2-eta1", "n2-eta1.25", "n6-kappa4/9", "bounded-rate1-n3"],
     )
@@ -554,9 +581,10 @@ class TestBlowup:
         assert abs(fit.beta_est - top) < tol * abs(top)
 
     def test_random_drivers_default_ladder(self):
-        # median 9.2e-15 here at j_max 18 (6.4e-13 at j_max 14; the fixed
-        # weights alone gave 1.8e-10 there, and the Aitken step on the raw
-        # slopes that they replaced 1.7e-7)
+        # median 4.0e-15 and worst 7.2e-13 here at j_max 22 (DOP853 at j_max
+        # 18: 9.2e-15 and 3.1e-10; at j_max 14 the median was 6.4e-13, the
+        # fixed weights alone gave 1.8e-10 there, and the Aitken step on the
+        # raw slopes that they replaced 1.7e-7)
         rng = np.random.default_rng(5)
         errors = []
         for i in range(24):
@@ -568,7 +596,8 @@ class TestBlowup:
                 fit = blowup_exponent(FuchsianSystem(m))
                 errors.append(abs(fit.beta_est - top) / abs(top))
         assert len(errors) >= 20
-        assert np.median(errors) <= 1e-11
+        assert np.median(errors) <= 1e-13
+        assert max(errors) <= 5e-12
 
     def test_series_passes_extend_each_other(self, monkeypatch):
         # N = 2's tail needs 128 terms at x = 1/2: the second pass appends
@@ -652,24 +681,43 @@ class TestExtrapolate:
 
 class TestIntegration:
     # _integrate_log_distance carries theta from t0 to t1 in unit pieces of
-    # t = -log2|1 - xi|, on the side of xi = 1 that the variant evaluates
+    # t = -log2|1 - xi|, on the side of xi = 1 that the variant evaluates:
+    # by Magnus steps up to its size limit, by one DOP853 solve above it.
+    # Both integrators are checked directly, the Magnus step at 64 substeps
+    # per piece, where its rows are converged; the fit's two substeps leave
+    # an error smooth in 2^-t, which its fixed weights remove
+
+    INTEGRATORS = {
+        "magnus": lambda sys, t0, t1, start, r: fuchsian_series._magnus_chain(
+            sys, t0, t1, start, 64
+        ),
+        "vector": lambda sys, t0, t1, start, r: fuchsian_series._dop853_chain(
+            sys, t0, t1, start, r
+        ),
+    }
 
     @staticmethod
     def _xi(variant, t):
         sign = -1.0 if variant is Variant.UNBOUNDED else 1.0
         return 1.0 + sign * 2.0**-t
 
-    def _check_series_rows(self, sys, t0, t1):
-        # every row of the chain against the series, where its tail is
-        # below 1e-14 of theta
+    def _series_rows(self, sys, t0, t1):
+        # theta at t0..t1 from the series, where its tail is below 1e-14
         series = series_solution(sys, 4000)
-        start = evaluate_theta(series, self._xi(sys.variant, t0))
-        chain = fuchsian_series._integrate_log_distance(sys, t0, t1, start, 0.0)
-        assert chain.shape == (t1 - t0 + 1, sys.n)
-        for t, got in zip(range(t0, t1 + 1), chain):
+        rows = []
+        for t in range(t0, t1 + 1):
             want, tail = evaluate_theta_with_tail(series, self._xi(sys.variant, t))
             assert tail < 1e-14 * np.max(np.abs(want))
-            np.testing.assert_allclose(got, want, rtol=1e-8)
+            rows.append(want)
+        return np.array(rows)
+
+    def _check_series_rows(self, sys, t0, t1, integrators=("magnus", "vector")):
+        # every row of each chain against the series
+        want = self._series_rows(sys, t0, t1)
+        for name in integrators:
+            chain = self.INTEGRATORS[name](sys, t0, t1, want[0], 0.0)
+            assert chain.shape == (t1 - t0 + 1, sys.n)
+            np.testing.assert_allclose(chain, want, rtol=1e-8)
 
     def test_matches_series_unbounded(self):
         self._check_series_rows(_system(ETA_SLE2, 2, Variant.UNBOUNDED), 1, 5)
@@ -678,20 +726,22 @@ class TestIntegration:
         self._check_series_rows(_system(ETA_PLE1, 3, Variant.BOUNDED), 0, 6)
 
     @pytest.mark.parametrize(
-        "variant, t0, t1",
+        "variant, t0, t1, integrators",
         [
-            (Variant.UNBOUNDED, 2, 3),  # one piece: the vector solve
-            (Variant.BOUNDED, 1, 2),
-            (Variant.UNBOUNDED, 1, 6),  # 5 pieces, batched
-            (Variant.BOUNDED, -1, 6),  # 7 pieces from xi = 3, batched
+            (Variant.UNBOUNDED, 2, 3, ("magnus", "vector")),  # one piece
+            (Variant.BOUNDED, 1, 2, ("magnus", "vector")),
+            (Variant.UNBOUNDED, 1, 6, ("magnus", "vector")),  # 5 pieces
+            # 7 pieces from xi = 3: DOP853's rtol of 1e-10 builds up to
+            # 1.2e-8 on the smallest component, 1e-4 of the largest
+            (Variant.BOUNDED, -1, 6, ("magnus",)),
         ],
         ids=["unbounded-short", "bounded-short", "unbounded-5", "bounded-7"],
     )
-    def test_matches_series_off_the_unit_grid(self, variant, t0, t1):
+    def test_matches_series_off_the_unit_grid(self, variant, t0, t1, integrators):
         # spans of one to seven unit pieces, on a system whose series needs
         # thousands of terms this close to xi = 1
         sys = _system(eta_sequence(LevyDriver(kappa=0.3), 6), 6, variant)
-        self._check_series_rows(sys, t0, t1)
+        self._check_series_rows(sys, t0, t1, integrators)
 
     @pytest.mark.parametrize(
         "variant, t0, exact",
@@ -703,14 +753,12 @@ class TestIntegration:
         ],
         ids=["unbounded", "bounded"],
     )
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "vector"])
-    def test_n1_closed_form(self, monkeypatch, variant, t0, exact, batched):
-        # each solve shape is forced; N = 1 alone takes the batched one
-        monkeypatch.setattr(fuchsian_series, "_batching_pays", lambda m, k: batched)
+    @pytest.mark.parametrize("integrator", ["magnus", "vector"])
+    def test_n1_closed_form(self, variant, t0, exact, integrator):
         sys = _system(ETA_SLE2, 1, variant)
         start = np.array([exact(self._xi(variant, t0))])
         r = math.log(2.0) * sys.matrices.b_diag[0]
-        got = fuchsian_series._integrate_log_distance(sys, t0, 50, start, r)
+        got = self.INTEGRATORS[integrator](sys, t0, 50, start, r)
         want = [[exact(self._xi(variant, t))] for t in range(t0, 51)]
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -722,6 +770,18 @@ class TestIntegration:
                 sys, 1, 10, np.zeros(2), 0.0
             )
         np.testing.assert_array_equal(got, np.zeros((10, 2)))
+
+    def test_magnus_is_fourth_order(self):
+        # doubling the substeps divides the rows' error by 2^4 = 16; without
+        # the commutator term the step would be second order, dividing by 4
+        sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
+        want = self._series_rows(sys, 1, 3)
+        errors = [
+            np.max(np.abs(fuchsian_series._magnus_chain(sys, 1, 3, want[0], q) - want))
+            for q in (4, 8, 16)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14 < coarse / fine < 18
 
     def test_huge_start_scales_linearly(self):
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)

@@ -67,6 +67,20 @@ def test_closed_forms_imports_no_solver():
     assert internal <= {"errors", "levy_driver", "loewner_system"}, internal
 
 
+def test_fuchsian_series_uses_no_eigensolver():
+    # route 3 must not read beta(2) from route 1: the Magnus step's matrix
+    # exponential is no eigensolver, and no eig* routine is called
+    tree = ast.parse(Path(fuchsian_series.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            assert not any("spectral_solver" in name for name in names), names
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            assert not name.startswith("eig"), name
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     mod = importlib.util.module_from_spec(spec)
