@@ -299,13 +299,12 @@ def blowup_exponent(
     (bounded) and every ladder point is an integer t = j, so the span
     (t0, j_max) falls into unit pieces (see _integrate_log_distance). No
     distance is formed by cancellation, so the ladder holds to the
-    double-precision limit j_max = 52, and j_min costs no series terms. The
-    integration uses the dense residue matrices, so N above
-    loewner_system.DENSE_LIMIT raises CapacityError before the series is
-    summed. Above the Magnus size limit DOP853 needs the rate r ~ beta ln2
-    of theta's growth, which the series gives: |c_k| ~ k^(beta - 1), so
-    over its nonzero rows c, with K = len(c) - 1,
-    r = ln2 + ln(max|c_K| / max|c_{K//2}|).
+    double-precision limit j_max = 52, and j_min costs no series terms. N
+    above loewner_system.DENSE_LIMIT raises CapacityError before the series
+    is summed, a capacity guard: only the Magnus range forms dense matrices.
+    Above the Magnus size limit DOP853 needs the rate r ~ beta ln2 of
+    theta's growth, which the series gives (|c_k| ~ k^(beta - 1)): over its
+    nonzero rows c, r = ln2 + ln(max|c_K| / max|c_{K//2}|), K = len(c) - 1.
 
     The local slope between consecutive points is
     s_j = log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j| = 2^-j,
@@ -406,10 +405,10 @@ def _integrate_log_distance(
     piece's error is a function of 2^-t that the fit's fixed weights
     remove; it starts at 2 and doubles, rerunning the span, while a substep
     leaves finite range, and above _SUBSTEP_LIMIT raises NumericalError.
-    Above the limit, where the O(N^3) exponential stops beating it (they
-    cross between N = 96 and 100 on the truncating Brownian family), one
-    DOP853 solve carries the N-vector at O(N^2) per right-hand side
-    (_dop853_chain).
+    Above it one DOP853 solve carries the N-vector at O(N) per right-hand
+    side, from the bands (_dop853_chain); on the truncating Brownian family
+    the two cost the same near N = 80-96, and stiff drivers favour the
+    exponential far above the limit.
     """
     if sys.n > _MAGNUS_LIMIT:
         return _dop853_chain(sys, t0, t1, theta0, r)
@@ -471,24 +470,25 @@ def _dop853_chain(
     Near xi = 1 theta grows or decays like 2^(beta t), so DOP853 integrates
     phi = e^(-r (t - t0)) theta, with r the caller's estimate of beta ln2,
     an exact change of variables for any r; row i is scaled back by
-    e^(r i). atol is 1e-13 relative to the largest entry of theta0."""
-    import scipy.integrate  # kept off the import path
+    e^(r i). atol is 1e-13 max|theta0| on every component: 1e-13 |theta0_i|
+    would hold small components (bounded kappa = 0.3, N = 6: 1.7e-8 to
+    1.1e-10) but doubles the right-hand sides (N = 128: 3,773 to 7,553) and
+    divides by zero where a theta0_i underflows (N = 1000)."""
+    from scipy import integrate, sparse  # off the import path; integrate loads sparse
 
-    n = sys.n
+    n, m, ln2 = sys.n, sys.matrices, math.log(2.0)
     sign = -1.0 if sys.variant is Variant.UNBOUNDED else 1.0
-    # ln2 B - r I over ln2 A, built in place: at most 3 N x N at once
-    h = np.empty((2 * n, n))
-    h[:n] = sys.matrices.b_dense()
-    h[n:] = sys.matrices.a_dense()
-    h *= math.log(2.0)
-    h.flat[: n * n : n + 1] -= r
+    # ln2 B - r I over ln2 A from the bands: O(N) per product
+    b = sparse.diags([ln2 * m.b_sub, ln2 * m.b_diag - r, ln2 * m.b_super], (-1, 0, 1))
+    a = sparse.diags([ln2 * m.a_diag, ln2 * m.a_off], (0, int(sign)))  # below or above
+    h = sparse.vstack([b, a], format="csr")
 
     def rhs(t, y):
         hy = h @ y
         d = sign * 2.0**-t
         return hy[:n] - d / (1.0 + d) * hy[n:]
 
-    sol = scipy.integrate.solve_ivp(
+    sol = integrate.solve_ivp(
         rhs,
         (t0, t1),
         theta0,

@@ -2,8 +2,8 @@
 recurrence, for both variants of the evolution.
 
 Matrices are stored as bands; `_dense` writes them into one dense matrix
-(N <= DENSE_LIMIT) for the non-symmetric eigensolver path, the ODE
-integration and tests. The first row of each matrix follows the displayed
+(N <= DENSE_LIMIT) for the non-symmetric eigensolver path, route 3's
+Magnus steps and tests. The first row of each matrix follows the displayed
 form verbatim: its off-diagonal entry differs from the generic band formula
 by a factor of 2, absorbed by folding the negative mode
 (theta_{-1} = xi^{+/-1} theta_1).

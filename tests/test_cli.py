@@ -270,8 +270,8 @@ class TestValidationExits:
         assert "4096" in capsys.readouterr().err
 
     def test_oversized_dense_integration_is_exit_4(self, capsys):
-        # route 3 integrates with the dense residue matrices, under the
-        # same limit as the dense eigensolver
+        # route 3 is held to the dense eigensolver's limit, a capacity
+        # guard, though only its Magnus range forms dense matrices
         code = main(["fuchs", "--kappa", "1", "--n", "4097"])
         assert code == 4
         assert "4096" in capsys.readouterr().err
@@ -572,8 +572,9 @@ class TestFuchsCommand:
         assert abs(json.loads(text)["beta_est"] - 4.0) < 1e-8
 
     def test_large_truncating_system(self, capsys):
-        # above the Magnus size limit one DOP853 solve carries the N-vector,
-        # as at N = 1000 (~9 s), and no N x N exponential is formed
+        # above the Magnus size limit one DOP853 solve carries the N-vector
+        # with a product from the bands, as at N = 1024 (~1 s), and no
+        # N x N matrix is formed
         n = 300
         code, text = run_main(
             capsys,

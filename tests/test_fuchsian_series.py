@@ -30,7 +30,6 @@ from llespec import (
     validate_eta,
 )
 from llespec import fuchsian_series
-from llespec.closed_forms import truncated_sle_spectrum
 from llespec.fuchsian_series import SERIES_TERM_LIMIT
 from llespec.loewner_system import DENSE_LIMIT, LoewnerMatrices
 from tests.conftest import random_driver
@@ -345,8 +344,9 @@ class TestBlowup:
 
     @pytest.mark.parametrize("rate, n", [(1.0, 3), (3.0, 5)])
     def test_deep_bounded_ladder_matches_eigenvalue_to_1e10(self, rate, n):
-        # each unit piece's propagator is integrated from the identity, so
-        # the integration error does not build up along the ladder
+        # every unit piece takes the same number of Magnus substeps, so the
+        # integration error is a function of 2^-j that the fit removes, and
+        # theta's growth is carried as an exact power of two
         m = build_matrices(
             eta_sequence(LevyDriver(uniform_rate=rate), 8), n, Variant.BOUNDED
         )
@@ -504,12 +504,12 @@ class TestBlowup:
             fits.append(blowup_exponent(sys))
         np.testing.assert_allclose(fits[0].beta_est, fits[1].beta_est, rtol=1e-7)
 
-    def test_large_system_holds_no_propagators(self):
-        # above the Magnus size limit one DOP853 solve carries the N-vector:
-        # it holds the two dense residue matrices and a few N-vectors, where
-        # a solve over N x N propagators would hold N^2 floats in each of its
-        # ~16 stage vectors
-        n = 200
+    def test_large_system_forms_no_square_matrix(self):
+        # above the Magnus size limit one DOP853 solve carries the N-vector
+        # with a sparse stack of the bands, so a fit at N = 1024 holds less
+        # than one N x N matrix; kappa = 2 (N + 2) / N^2 closes at N, where
+        # beta(2) = 5 - 2/N
+        n = 1024
         eta = eta_sequence(LevyDriver(kappa=2.0 * (n + 2) / n**2), n)
         sys = _system(eta, n, Variant.UNBOUNDED)
         blowup_exponent(sys, GeometricLadder(6, 7))  # imports scipy.integrate
@@ -519,13 +519,12 @@ class TestBlowup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * n * n * 8
-        top = max(truncated_sle_spectrum(n, Variant.UNBOUNDED))
-        assert abs(fit.beta_est - top) < 1e-6
+        assert peak < n * n * 8
+        assert abs(fit.beta_est - (5.0 - 2.0 / n)) < 1e-12
 
     def test_oversized_system_refused_before_the_series(self, monkeypatch):
-        # the integration needs the dense residue matrices, so N above their
-        # limit is refused before any series term is computed
+        # N above the dense limit is refused, as a capacity guard, before
+        # any series term is computed
         def no_series(*args):
             raise AssertionError("series summed for an oversized system")
 
