@@ -19,7 +19,7 @@ from .closed_forms import (
     perturbed_n6_pairs,
     theorem1_solution,
 )
-from .errors import LLESpecError, NumericalError, SizeError, ValidationError
+from .errors import LLESpecError, NumericalError, ValidationError
 from .fuchsian_series import FuchsianSystem, GeometricLadder, blowup_exponent
 from .levy_driver import (
     LevyDriver,
@@ -27,7 +27,7 @@ from .levy_driver import (
     eta_sequence,
     validate_eta,
 )
-from .loewner_system import Variant, build_matrices
+from .loewner_system import LoewnerMatrices, Variant, build_matrices
 from .spectral_solver import _beta2_mode, _max_real_sequence, _top_eigenvalue
 from .spectral_solver import beta2, eigen_spectrum
 
@@ -137,20 +137,19 @@ def _resolve_eta(args, n_needed: int):
     return eta_sequence(driver, n_needed)
 
 
-def _resolve_system_size(args) -> tuple[int, object]:
-    """(N, eta) from --n, else beta2's truncation order N <= --m-max."""
+def _resolve_system(args) -> LoewnerMatrices:
+    """The --variant system at --n, else at its truncation order N <= --m-max."""
+    variant = Variant.parse(args.variant)
     if args.n is not None:
         if args.n < 1:
             raise ValidationError(f"--n must be >= 1, got {args.n}")
-        return args.n, _resolve_eta(args, max(args.n - 1, 1))
-    eta = _resolve_eta(args, args.m_max)
-    try:  # SizeError: a formal file shorter than --m-max that never closes
-        mode, n = _beta2_mode(eta, Variant.parse(args.variant), args.m_max)
-    except SizeError:
-        mode = None
-    if mode != "truncated":
-        raise ValidationError(f"no truncation order N <= {args.m_max}; pass --n")
-    return n, eta
+        n, eta = args.n, _resolve_eta(args, max(args.n - 1, 1))
+    else:
+        eta = _resolve_eta(args, args.m_max)
+        mode, n = _beta2_mode(eta, variant, args.m_max)
+        if mode != "truncated":
+            raise ValidationError(f"no truncation order N <= {args.m_max}; pass --n")
+    return build_matrices(eta, n, variant)
 
 
 # ---------------------------------------------------------------- commands
@@ -169,16 +168,15 @@ def _cmd_eta(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    variant = Variant.parse(args.variant)
-    n, eta = _resolve_system_size(args)
-    spec = eigen_spectrum(build_matrices(eta, n, variant))
+    system = _resolve_system(args)
+    spec = eigen_spectrum(system)
     rows = [
         {"index": i, "re": z.real, "im": z.imag, "multiplicity": m}
         for i, (z, m) in enumerate(zip(spec.eigenvalues, spec.multiplicities))
     ]
     payload = {
-        "variant": variant.value,
-        "n": n,
+        "variant": system.variant.value,
+        "n": system.n,
         "max_real": spec.max_real,
         "n_nonneg_real": spec.n_nonneg_real,
         "resonant": spec.resonant,
@@ -191,10 +189,10 @@ def _cmd_spectrum(args) -> None:
     _emit(args, payload, rows)
 
 
-def _sequence_rows(seq) -> list[dict]:
+def _sequence_rows(seq, first_gap=None) -> list[dict]:
     """One row per (M, beta_max), with the gap to the previous row."""
     return [
-        {"M": m, "beta_max": v, "gap": None if i == 0 else abs(v - seq[i - 1][1])}
+        {"M": m, "beta_max": v, "gap": first_gap if i == 0 else abs(v - seq[i - 1][1])}
         for i, (m, v) in enumerate(seq)
     ]
 
@@ -203,39 +201,32 @@ def _cmd_beta2(args) -> None:
     variant = Variant.parse(args.variant)
     eta = _resolve_eta(args, args.m_max)
     rep = beta2(eta, variant, args.m_max)
-    if rep.mode == "truncated":
-        payload = {
-            "variant": variant.value,
-            "mode": "truncated",
-            "N": rep.n,
-            "beta2": rep.beta2,
-            "converged": rep.converged,
-            "convergence_gap": rep.convergence_gap,
-        }
-        rows = [{"M": rep.n, "beta_max": rep.beta2, "gap": 0.0}]
-    else:
-        rows = _sequence_rows(rep.sequence)
-        payload = {
-            "variant": variant.value,
-            "mode": "sequence",
-            "beta2": rep.beta2,
-            "converged": rep.converged,
-            # None (JSON null) for a one-entry sequence, whose gap is inf
-            "convergence_gap": rows[-1]["gap"],
-            "sequence": [[m, v] for m, v in rep.sequence],
-            "gaps": [r["gap"] for r in rows[1:]],
-        }
+    truncated = rep.mode == "truncated"
+    # a truncated report is a one-row sequence at N, exact, so its gap is 0
+    rows = _sequence_rows(
+        rep.sequence or ((rep.n, rep.beta2),), 0.0 if truncated else None
+    )
+    payload = {
+        "variant": variant.value,
+        "mode": rep.mode,
+        **({"N": rep.n} if truncated else {}),
+        "beta2": rep.beta2,
+        "converged": rep.converged,
+        # None (JSON null) for a one-entry sequence, whose gap is inf
+        "convergence_gap": rows[-1]["gap"],
+    }
+    if not truncated:
+        payload["sequence"] = [[m, v] for m, v in rep.sequence]
+        payload["gaps"] = [r["gap"] for r in rows[1:]]
     _emit(args, payload, rows)
 
 
 def _cmd_fuchs(args) -> None:
-    variant = Variant.parse(args.variant)
-    n, eta = _resolve_system_size(args)
-    system = FuchsianSystem(build_matrices(eta, n, variant))
+    system = FuchsianSystem(_resolve_system(args))
     fit = blowup_exponent(system, GeometricLadder(args.j_min, args.j_max))
     payload = {
-        "variant": variant.value,
-        "n": n,
+        "variant": system.variant.value,
+        "n": system.n,
         "beta_est": fit.beta_est,
         "residual": fit.residual,
         "oscillation_detected": fit.oscillation_detected,

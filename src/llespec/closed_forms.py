@@ -95,7 +95,12 @@ class HypergeometricParams:
 
     @classmethod
     def from_eta1(cls, eta1: float) -> "HypergeometricParams":
-        return cls.from_beta(beta2_unbounded_n2(eta1))
+        beta = beta2_unbounded_n2(eta1)
+        if beta == 2.0:  # beta(2) = 2 + 2/eta_1 + O(eta_1^-2)
+            raise DomainError(
+                f"eta_1 must be below about 9e15, where beta(2) rounds to 2, got {eta1}"
+            )
+        return cls.from_beta(beta)
 
 
 def _gauss_series(a: float, b: float, c: float, x: float, max_terms: int) -> float:

@@ -18,8 +18,8 @@ integers t = j and the distance 2^-t is never formed by cancellation, so
 the ladder reaches the double-precision limit j_max = 52. There the system
 reads theta' = (ln2 B + f(t) A) theta with one scalar f, and a
 fourth-order Magnus step takes it at any stiffness with one matrix
-exponential; above a size limit one DOP853 solve carries the N-vector
-instead (see _integrate_log_distance).
+exponential; above a size limit, on a system that is not stiff, one DOP853
+solve carries the N-vector instead (see _integrate_log_distance).
 """
 
 from __future__ import annotations
@@ -59,8 +59,15 @@ _TAIL_GATE = 1e-6
 SERIES_TERM_LIMIT = 1 << 20
 _J_MAX_LIMIT = 52
 _INTEGRATION_RTOL = 1e-10
-# N up to which _integrate_log_distance takes Magnus steps, and their cap
+# _integrate_log_distance takes Magnus steps up to N = _MAGNUS_LIMIT, and
+# above it while N^2 <= _STIFF_RATIO rho, rho = ln2 max_i sum_j |b_ij| the
+# Gershgorin bound of ln2 B; _SUBSTEP_LIMIT caps the substeps per unit of t.
+# 72 lies between N^2 / rho on the truncating Brownian families at N = 96
+# (71.8-71.9) and at 97 (72.5-72.6), where the two integrators cost the
+# same, so every truncating fit keeps the integrator its size gave it;
+# stiff drivers read 1.5-30 above N = 96 (timings in _integrate_log_distance)
 _MAGNUS_LIMIT = 96
+_STIFF_RATIO = 72.0
 _SUBSTEP_LIMIT = 1 << 10
 
 
@@ -302,9 +309,14 @@ def blowup_exponent(
     double-precision limit j_max = 52, and j_min costs no series terms. N
     above loewner_system.DENSE_LIMIT raises CapacityError before the series
     is summed, a capacity guard: only the Magnus range forms dense matrices.
-    Above the Magnus size limit DOP853 needs the rate r ~ beta ln2 of
-    theta's growth, which the series gives (|c_k| ~ k^(beta - 1)): over its
-    nonzero rows c, r = ln2 + ln(max|c_K| / max|c_{K//2}|), K = len(c) - 1.
+    Above the Magnus size limit, on a system that is not stiff, DOP853
+    needs the rate r ~ beta ln2 of theta's growth, which the series gives
+    (|c_k| ~ k^(beta - 1)): over its nonzero rows c,
+    r = ln2 + ln(max|c_K| / max|c_{K//2}|), K = len(c) - 1. The lower-order
+    terms of |c_k| leave r an O(1/K) bias, documented and not mended:
+    unbounded kappa = 0.01, N = 10 reads r / ln2 = 4.75 against
+    beta = 4.990. r is an exact change of variables whatever its value, so
+    the bias reaches beta_est only through DOP853's error.
 
     The local slope between consecutive points is
     s_j = log(g_{j+1}/g_j) / log(d_j/d_{j+1}) with d_j = |1 - xi_j| = 2^-j,
@@ -405,13 +417,25 @@ def _integrate_log_distance(
     piece's error is a function of 2^-t that the fit's fixed weights
     remove; it starts at 2 and doubles, rerunning the span, while a substep
     leaves finite range, and above _SUBSTEP_LIMIT raises NumericalError.
-    Above it one DOP853 solve carries the N-vector at O(N) per right-hand
-    side, from the bands (_dop853_chain); on the truncating Brownian family
-    the two cost the same near N = 80-96, and stiff drivers favour the
-    exponential far above the limit.
+    Above that size a system that is not stiff, N^2 > _STIFF_RATIO rho
+    with rho = ln2 max_i sum_j |b_ij|, takes one DOP853 solve that carries
+    the N-vector at O(N) per right-hand side, from the bands
+    (_dop853_chain); rho costs O(N), and only past the size test. The
+    O(N^3) exponential loses to it on the truncating Brownian families,
+    whose N^2 / rho passes 72 between N = 96 and 97 and grows with N (741
+    at N = 1024): at N = 200, 615-650 ms against 67-78 ms. It wins on stiff
+    drivers, whose N^2 / rho stays near 1.5-30: kappa = 1 bounded N = 97
+    66 against 4,326 ms, N = 200 1.3 against 14.7 s, kappa = 0.3 unbounded
+    N = 128 180 against 1,515 ms, each at the same error against a 40-digit
+    reference (single runs, one BLAS thread, Magnus against DOP853).
     """
     if sys.n > _MAGNUS_LIMIT:
-        return _dop853_chain(sys, t0, t1, theta0, r)
+        m = sys.matrices
+        rows = np.abs(m.b_diag)  # the Gershgorin row sums of |B|, from the bands
+        rows[1:] += np.abs(m.b_sub)
+        rows[:-1] += np.abs(m.b_super)
+        if sys.n**2 > _STIFF_RATIO * math.log(2.0) * float(rows.max()):
+            return _dop853_chain(sys, t0, t1, theta0, r)
     q = 2
     while (chain := _magnus_chain(sys, t0, t1, theta0, q)) is None:
         q *= 2

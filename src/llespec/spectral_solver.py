@@ -486,7 +486,8 @@ class Beta2Report:
 
 def _beta2_mode(eta: EtaSequence, variant: Variant, m_max: int) -> tuple[str, int]:
     """("truncated", N) when the system closes at an order N <= m_max, else
-    ("sequence", m_max); beta(2) is the top eigenvalue of B at that N."""
+    ("sequence", m_max) whatever eta's length (`beta2` checks that it
+    covers m_max); beta(2) is the top eigenvalue of B at that N."""
     if m_max < 2:
         raise SizeError(f"m_max must be >= 2, got {m_max}")
     n_tr = truncation_order(eta, variant)
@@ -494,8 +495,6 @@ def _beta2_mode(eta: EtaSequence, variant: Variant, m_max: int) -> tuple[str, in
         # exact mode needs eta only up to the truncation order, so a short
         # formal sequence that closes is accepted regardless of m_max
         return "truncated", n_tr
-    if eta.n_max < m_max:
-        raise SizeError(f"eta covers n_max={eta.n_max}, need m_max={m_max}")
     return "sequence", m_max
 
 
@@ -505,6 +504,8 @@ def beta2(eta: EtaSequence, variant: Variant, m_max: int) -> Beta2Report:
     if mode == "truncated":
         seq, top, gap = None, _top_eigenvalue(build_matrices(eta, n, variant), n), 0.0
     else:
+        if eta.n_max < m_max:
+            raise SizeError(f"eta covers n_max={eta.n_max}, need m_max={m_max}")
         seq = tuple(_max_real_sequence(eta, variant, m_max))
         n, top = None, seq[-1][1]
         gap = abs(top - seq[-2][1]) if len(seq) > 1 else math.inf

@@ -651,6 +651,12 @@ class TestTheorem1Command:
         want = _gauss_series(p.a, p.b, p.c, 0.8, 400_000)
         assert json.loads(text)["values"][0]["f0"] == pytest.approx(want, rel=1e-12)
 
+    def test_eta1_where_beta2_rounds_to_two_is_blamed(self, capsys):
+        # beta(2) = 2 + 2/eta_1 + ... rounds to 2.0 above eta_1 ~ 9e15, outside
+        # the hypergeometric reduction's beta > 2
+        assert main(["theorem1", "--eta1", "1e16"]) == 2
+        assert "eta_1" in capsys.readouterr().err
+
 
 class TestPleCurve:
     def test_default_grid_increasing(self, capsys):

@@ -446,6 +446,7 @@ class TestBlowup:
         # substeps per piece leave 1e-4 in the first piece's row, an error
         # smooth in 2^-j that the fit removes
         monkeypatch.setattr(fuchsian_series, "_MAGNUS_LIMIT", 0)
+        monkeypatch.setattr(fuchsian_series, "_STIFF_RATIO", 0.0)
         sys = _system(ETA_SLE2, 2, Variant.UNBOUNDED)
         fit = blowup_exponent(sys, ladder=GeometricLadder(1, 9))
         series = series_solution(sys, 2000)
@@ -460,13 +461,17 @@ class TestBlowup:
         [
             (LevyDriver(kappa=6.0, uniform_rate=5.0), 8, Variant.UNBOUNDED),
             (LevyDriver(uniform_rate=98.5), 14, Variant.BOUNDED),
+            (LevyDriver(kappa=0.3), 97, Variant.BOUNDED),
         ],
-        ids=["unbounded-kappa6-rate5", "bounded-rate98.5"],
+        ids=["unbounded-kappa6-rate5", "bounded-rate98.5", "bounded-kappa0.3-97"],
     )
     def test_stiff_driver_step_count(self, monkeypatch, driver, n, variant):
-        # B's spectral radius is 100-210 here; DOP853 was stability-bound at
-        # ~1,000 right-hand sides per piece, while the exponential takes the
-        # default two substeps on each of the 17-18 pieces
+        # B's spectral radius is 100-210 on the first two; DOP853 was
+        # stability-bound at ~1,000 right-hand sides per piece, while the
+        # exponential takes the default two substeps on each of the 21-22
+        # pieces. The third lies above the Magnus size limit but is stiff
+        # (N^2 / rho = 5.0 against the truncating families' 72.5 at N = 97),
+        # and takes 52-70 ms of exponentials against 802-817 ms on DOP853
         import scipy.integrate
         import scipy.linalg
 
@@ -496,8 +501,10 @@ class TestBlowup:
     )
     def test_magnus_and_vector_solves_agree(self, monkeypatch, driver, n, variant):
         # _integrate_log_distance carries theta along the ladder by Magnus
-        # steps up to its size limit and by one DOP853 solve above it
+        # steps up to its size limit and by one DOP853 solve above it, where
+        # the stiffness test is patched away
         sys = _system(eta_sequence(driver, n), n, variant)
+        monkeypatch.setattr(fuchsian_series, "_STIFF_RATIO", 0.0)
         fits = []
         for limit in (n, n - 1):
             monkeypatch.setattr(fuchsian_series, "_MAGNUS_LIMIT", limit)

@@ -33,6 +33,7 @@ from llespec.cli import main
 from llespec.loewner_system import CharPolyRecurrence, LoewnerMatrices, charpoly_eval
 from llespec.loewner_system import DENSE_LIMIT as DENSE_EIGEN_LIMIT
 from llespec.spectral_solver import (
+    _beta2_mode,
     _certified_top_root,
     _cluster,
     _eig_fallback,
@@ -839,6 +840,14 @@ class TestBeta2:
     def test_m_max_validation(self):
         with pytest.raises(SizeError):
             beta2(ETA_SLE2, Variant.UNBOUNDED, 1)
+
+    def test_short_eta_that_never_closes_is_sequence_mode(self):
+        # the mode rule answers for any length; only sequence mode's solve
+        # needs eta to cover m_max
+        eta = validate_eta([1.0, 2.0])
+        assert _beta2_mode(eta, Variant.UNBOUNDED, 5) == ("sequence", 5)
+        with pytest.raises(SizeError, match="eta covers n_max=2, need m_max=5"):
+            beta2(eta, Variant.UNBOUNDED, 5)
 
     def test_bounded_ple(self):
         rep = beta2(eta_sequence(LevyDriver(uniform_rate=1.0), 10), Variant.BOUNDED, 10)
